@@ -18,7 +18,7 @@ _MODULE_OF = {  # public name -> the module that defines it
     for module, names in {
         "bitmat": "BinaryMatrix FormatError dump_dense dump_sparse hamming_error is_cyclic_under "
         "is_unimodal_under load_dense load_sparse reconstruct",
-        "factorizer": "Factorization factorize format_report parse_report seeds_all seeds_sample",
+        "factorizer": "Factorization factorize format_report parse_report seeds_sample",
         "pqtree": "PQTree",
         "render": "RenderSpec render_circular render_heatmap render_linear",
         "synth": "BlockSpec flip_noise gen_blocks gen_random",

@@ -16,7 +16,7 @@ import sys
 
 from . import bitmat, synth
 from .bitmat import BinaryMatrix, FormatError
-from .factorizer import VARIANTS, factorize, format_report, parse_report, seeds_all, seeds_sample
+from .factorizer import VARIANTS, factorize, format_report, parse_report, seeds_sample
 from .render import RenderSpec, render_circular, render_heatmap, render_linear
 
 
@@ -68,7 +68,7 @@ def cmd_synth(args) -> int:
 def cmd_factorize(args) -> int:
     d = _read_matrix(args.matrix, args.format)
     if args.seeds == "all":
-        seeds = seeds_all(d)
+        seeds = None
     elif args.seeds.startswith("sample:"):
         seeds = seeds_sample(d, float(args.seeds.split(":", 1)[1]), args.rng)
     else:
@@ -94,6 +94,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.labels and args.layout == "heatmap":
+        raise ValueError("heatmap layout takes no --labels")
     with open(args.factors, "r", encoding="utf-8") as fh:
         f = parse_report(fh.read())
     labels = None

@@ -258,11 +258,6 @@ def _joint_cols(state: StepState, rows: tuple[int, ...], cols: tuple[int, ...], 
 # -- seeds --------------------------------------------------------------------
 
 
-def seeds_all(d: BinaryMatrix) -> list[int]:
-    """Every column, as a seed."""
-    return list(range(d.n_cols))
-
-
 def seeds_sample(d: BinaryMatrix, fraction: float, rng_seed: int) -> list[int]:
     """Uniform sample (without replacement) of the seed columns, sorted.
 
@@ -302,7 +297,7 @@ def factorize(
     if k < 1:
         raise ValueError(f"rank must be at least 1, got {k}")
     state = StepState.initial(d, variant)
-    seeds = seeds_all(d) if seeds is None else [int(j) for j in seeds]
+    seeds = list(range(d.n_cols)) if seeds is None else [int(j) for j in seeds]
     if not seeds:
         raise ValueError("seed list is empty")
     if not all(0 <= j < d.n_cols for j in seeds):

@@ -80,10 +80,6 @@ class Counters:
     scale: int
     ops: int = 0
 
-    def split(self, key):
-        """The (gain, size) pair a tie key (or an array of them) encodes."""
-        return split(key, self.scale)
-
 
 def block_rows(tree: PQTree) -> int:
     """Weight rows per `compute_counters` call on `tree` whose counters fit
@@ -221,7 +217,7 @@ def _answers(mask: np.ndarray, gains: np.ndarray) -> list[tuple[tuple[int, ...],
 def best_compatible_sets(tree: PQTree, w) -> list[tuple[tuple[int, ...], int]]:
     """Best tree-compatible set and its total weight for each row of the block `w`."""
     c = compute_counters(tree, w)
-    return _answers(_extract(tree, c.total > 0, c.tags), c.split(c.inner[tree.root])[0])
+    return _answers(_extract(tree, c.total > 0, c.tags), split(c.inner[tree.root], c.scale)[0])
 
 
 def best_cyclic_sets(tree: PQTree, w) -> list[tuple[tuple[int, ...], int]]:
@@ -234,12 +230,12 @@ def best_cyclic_sets(tree: PQTree, w) -> list[tuple[tuple[int, ...], int]]:
     """
     w = np.asarray(w)
     c = compute_counters(tree, w)
-    gains = c.split(c.inner[tree.root])[0]
+    gains = split(c.inner[tree.root], c.scale)[0]
     mask = _extract(tree, c.total > 0, c.tags)
     need = np.flatnonzero(np.maximum(w, 0).sum(axis=1, dtype=np.int64) > gains)
     if need.size:
         c = compute_counters(tree, -w[need])
-        wrapped = w[need].sum(axis=1, dtype=np.int64) + c.split(c.inner[tree.root])[0]
+        wrapped = w[need].sum(axis=1, dtype=np.int64) + split(c.inner[tree.root], c.scale)[0]
         win = wrapped > gains[need]
         if win.any():
             gains[need[win]] = wrapped[win]

@@ -113,9 +113,6 @@ class ScalarCounters:
     inner_tag: dict[int, tuple]
     scale: int
 
-    def split(self, key: int) -> tuple[int, int]:
-        return split(key, self.scale)
-
 
 def scalar_counters(tree: PQTree, w: Sequence[int]) -> ScalarCounters:
     """Bottom-up counters for weights `w`, one node at a time over `tree.internal`.
@@ -222,18 +219,6 @@ def scalar_counters(tree: PQTree, w: Sequence[int]) -> ScalarCounters:
     return ScalarCounters(total, border, inner, border_tag, inner_tag, scale)
 
 
-def _leaves_under(tree: PQTree, v: int) -> list[int]:
-    out = []
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        if x < tree.n:
-            out.append(x)
-        else:
-            stack.extend(tree.children[x])
-    return out
-
-
 def scalar_extract(tree: PQTree, c: ScalarCounters, v: int, inner: bool = True) -> list[int]:
     """The inner (or border) set of v's subtree that the counters chose.
 
@@ -261,14 +246,14 @@ def scalar_extract(tree: PQTree, c: ScalarCounters, v: int, inner: bool = True) 
     for x in ends:
         out.extend(scalar_extract(tree, c, x, False))
     for x in whole:
-        out.extend(_leaves_under(tree, x))
+        out.extend(u for u in tree._postorder(x) if u < tree.n)
     return out
 
 
 def scalar_compatible_set(tree: PQTree, w: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """`optset.best_compatible_sets` for the one weight row `w`, by the scalar DP."""
     c = scalar_counters(tree, w)
-    return tuple(sorted(scalar_extract(tree, c, tree.root))), c.split(c.inner[tree.root])[0]
+    return tuple(sorted(scalar_extract(tree, c, tree.root))), split(c.inner[tree.root], c.scale)[0]
 
 
 def scalar_cyclic_set(tree: PQTree, w: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -277,8 +262,8 @@ def scalar_cyclic_set(tree: PQTree, w: Sequence[int]) -> tuple[tuple[int, ...], 
     w_arr = np.asarray(w, dtype=np.int64)
     c1 = scalar_counters(tree, w_arr)
     c2 = scalar_counters(tree, -w_arr)
-    g1 = c1.split(c1.inner[tree.root])[0]
-    g_comp = int(w_arr.sum()) + c2.split(c2.inner[tree.root])[0]
+    g1 = split(c1.inner[tree.root], c1.scale)[0]
+    g_comp = int(w_arr.sum()) + split(c2.inner[tree.root], c2.scale)[0]
     if g_comp > g1:
         inside = set(scalar_extract(tree, c2, tree.root))
         return tuple(u for u in range(tree.n) if u not in inside), g_comp
@@ -352,10 +337,10 @@ def check_optset(rng: random.Random, cases: int) -> str | None:
         want_inner = max(sum(w[u] for u in s) for s in comp)
         want_border = max(sum(w[u] for u in s) for s in bord)
         c = scalar_counters(tree, w)
-        border = c.split(c.border[tree.root])[0]
+        border = split(c.border[tree.root], c.scale)[0]
         s, g = scalar_compatible_set(tree, w)
         if (g != want_inner or border != want_border or sum(w[u] for u in s) != g
-                or frozenset(s) not in comp or c.split(c.inner[tree.root]) != (g, len(s))):
+                or frozenset(s) not in comp or split(c.inner[tree.root], c.scale) != (g, len(s))):
             return (
                 f"optset: tree={tree.to_string()} w={w}: got {s} inner={g} border={border}, "
                 f"want {want_inner}/{want_border}"

@@ -111,7 +111,7 @@ class PQTree:
 
     def frontier(self) -> tuple[int, ...]:
         """Left-to-right leaf order of the tree as stored."""
-        return tuple(v for v in self._postorder() if v < self.n)
+        return tuple(v for v in self._postorder(self.root) if v < self.n)
 
     def admits(self, s: Iterable[int]) -> bool:
         """True iff some admitted order keeps s contiguous; only reads the tree."""
@@ -243,7 +243,7 @@ class PQTree:
         new = list(range(len(self.kind)))  # old id -> new id; leaves keep theirs
         kind, children = self.kind[:n], self.children[:n]
         minleaf = list(range(n))
-        for v in self._postorder():
+        for v in self._postorder(self.root):
             if v < n:
                 continue
             cs = [new[c] for c in self.children[v]]
@@ -262,9 +262,9 @@ class PQTree:
         self.kind, self.children, self.root = kind, children, new[self.root]
         self._compiled = None
 
-    def _postorder(self) -> list[int]:
+    def _postorder(self, v: int) -> list[int]:
         out = []
-        stack = [self.root]
+        stack = [v]
         while stack:
             v = stack.pop()
             out.append(v)

@@ -207,6 +207,14 @@ class TestRender:
                          "--labels", str(labels), "-o", str(out))
         assert code == 0 and "node12" in out.read_text()
 
+    def test_heatmap_refuses_labels(self, blocks_file, factor_file, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"node{i}\n" for i in range(13)))
+        out = tmp_path / "labelled.svg"
+        code, _, err = run(capsys, "render", "--factors", str(factor_file), "--layout", "heatmap",
+                           "--matrix", str(blocks_file), "--labels", str(labels), "-o", str(out))
+        assert code == 2 and "labels" in err and not out.exists()
+
 
 class TestCheck:
     def test_passes(self, capsys):

@@ -14,7 +14,6 @@ from contile.factorizer import (
     factorize,
     format_report,
     parse_report,
-    seeds_all,
     seeds_sample,
     step_weights,
 )
@@ -324,7 +323,7 @@ class TestFactorize:
                     return c
                 rounds[-1][1].extend((id(tree), row.tobytes()) for row in rows)
                 if state.cyclic:
-                    need = rows[np.maximum(rows, 0).sum(axis=1) > c.split(c.inner[tree.root])[0]]
+                    need = rows[np.maximum(rows, 0).sum(axis=1) > optset.split(c.inner[tree.root], c.scale)[0]]
                     if len(need):
                         pending.append(need)
             return c
@@ -434,7 +433,7 @@ class TestSymmetricJointFit:
             d = BinaryMatrix(half | half.T)
             state = StepState.initial(d, variant)
             for _ in range(rng.randint(0, 3)):
-                best = max(alternate_seeds(state, seeds_all(d)), key=lambda res: res.gain)
+                best = max(alternate_seeds(state, list(range(d.n_cols))), key=lambda res: res.gain)
                 if best.gain <= 0:
                     break
                 factorizer._accept(state, best.rows, best.cols)
@@ -530,8 +529,10 @@ class TestNonSymmetricInput:
 
 class TestSeeds:
     def test_all_singletons(self):
-        d = BinaryMatrix.zeros(3, 5)
-        assert seeds_all(d) == [0, 1, 2, 3, 4]
+        half = random_binary(random.Random(5), 7, 7)
+        d = BinaryMatrix(half | half.T)
+        for variant in VARIANTS:
+            assert format_report(factorize(d, 3, variant)) == format_report(factorize(d, 3, variant, seeds=range(7)))
 
     def test_sample_count_is_floor(self):
         d = BinaryMatrix.zeros(2, 348)
@@ -539,7 +540,7 @@ class TestSeeds:
 
     def test_sample_full_fraction_equals_all(self):
         d = BinaryMatrix.zeros(2, 9)
-        assert seeds_sample(d, 1.0, 3) == seeds_all(d)
+        assert seeds_sample(d, 1.0, 3) == list(range(d.n_cols))
 
     def test_sample_deterministic(self):
         d = BinaryMatrix.zeros(2, 40)

@@ -5,7 +5,7 @@ import pytest
 
 from contile import optset, oracle
 from contile.factorizer import StepState, _half_steps
-from contile.optset import best_compatible_sets, best_cyclic_sets, compute_counters
+from contile.optset import best_compatible_sets, best_cyclic_sets, compute_counters, split
 from contile.oracle import brute_compatible_sets
 from contile.pqtree import PNODE, QNODE, PQTree
 from contile.synth import BlockSpec, flip_noise, gen_blocks
@@ -14,7 +14,7 @@ from conftest import peak_bytes, random_interval_tree, random_reduced_tree
 
 
 def gains(c, *keys):
-    return tuple(c.split(key)[0] for key in keys)
+    return tuple(split(key, c.scale)[0] for key in keys)
 
 
 def q_tree(n):
@@ -68,9 +68,9 @@ class TestQNodeCounters:
         t = q_tree(3)
         c = compute_counters(t, [[2, -1, 3]])
         r = t.root
-        assert c.split(c.total[r, 0]) == (4, 3)
-        assert c.split(c.border[r, 0]) == (4, 3)  # whole line from either end
-        assert c.split(c.inner[r, 0]) == (4, 3)   # the full run beats the single best leaf
+        assert split(c.total[r, 0], c.scale) == (4, 3)
+        assert split(c.border[r, 0], c.scale) == (4, 3)  # whole line from either end
+        assert split(c.inner[r, 0], c.scale) == (4, 3)   # the full run beats the single best leaf
 
 
 class TestBestCompatible:
@@ -137,7 +137,7 @@ class TestBestCyclic:
         w = np.asarray(w, dtype=np.int64)
         s = len(w)
         c = compute_counters(tree, np.concatenate([w, -w]))
-        gains = c.split(c.inner[tree.root])[0]
+        gains = split(c.inner[tree.root], c.scale)[0]
         straight, wrapped = gains[:s], w.sum(axis=1) + gains[s:]
         comp = wrapped > straight
         rows = np.arange(s) + s * comp
@@ -259,7 +259,7 @@ class TestInvariants:
             t = random_reduced_tree(rng, n, 0, 3)
             w = [rng.randint(-5, 5) for _ in range(n)]
             c = compute_counters(t, [w])
-            for v in t._postorder():
+            for v in t._postorder(t.root):
                 total, border, inner = gains(c, c.total[v, 0], c.border[v, 0], c.inner[v, 0])
                 assert inner >= 0
                 assert inner >= max(0, border)
@@ -271,12 +271,12 @@ class TestInvariants:
             t = random_reduced_tree(rng, n)
             w = [rng.randint(-5, 5) for _ in range(n)]
             c = compute_counters(t, [w])
-            base = c.split(c.inner[t.root, 0])[0]
+            base = split(c.inner[t.root, 0], c.scale)[0]
             u = rng.randrange(n)
             w2 = list(w)
             w2[u] += rng.randint(1, 4)
             c2 = compute_counters(t, [w2])
-            assert c2.split(c2.inner[t.root, 0])[0] >= base
+            assert split(c2.inner[t.root, 0], c2.scale)[0] >= base
 
     def test_work_scales_linearly_on_chains(self):
         ops = {}
