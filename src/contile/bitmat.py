@@ -258,12 +258,9 @@ def reconstruct(f) -> BinaryMatrix:
     n, m = len(f.row_order), len(f.col_order)
     dense = np.zeros((n, m), dtype=bool)
     for rows, cols in f.factors:
-        r = np.fromiter(rows, dtype=np.int64, count=len(rows))
-        c = np.fromiter(cols, dtype=np.int64, count=len(cols))
-        if len(r) and len(c):
-            dense[np.ix_(r, c)] = True
-            if f.symmetric:
-                dense[np.ix_(c, r)] = True
+        dense[np.ix_(rows, cols)] = True
+        if f.symmetric:
+            dense[np.ix_(cols, rows)] = True
     return BinaryMatrix._owning(dense)
 
 

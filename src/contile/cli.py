@@ -27,8 +27,7 @@ def _guess_format(path: str) -> str | None:
 
 def _read_matrix(path: str, fmt: str | None) -> BinaryMatrix:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        if fmt is None:
-            fmt = _guess_format(path)
+        fmt = fmt or _guess_format(path)
         if fmt is None:
             raise ValueError(f"cannot guess format of {path!r}; pass --format dense|sparse")
         return (bitmat.load_sparse if fmt == "sparse" else bitmat.load_dense)(fh)
@@ -96,6 +95,8 @@ def cmd_eval(args) -> int:
 def cmd_render(args) -> int:
     if args.labels and args.layout == "heatmap":
         raise ValueError("heatmap layout takes no --labels")
+    if (args.matrix or args.format) and args.layout != "heatmap":
+        raise ValueError(f"{args.layout} layout takes no --matrix or --format: it draws the factors only")
     with open(args.factors, "r", encoding="utf-8") as fh:
         f = parse_report(fh.read())
     labels = None
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("render", help="draw a factorization as SVG")
     pv.add_argument("--factors", required=True)
     pv.add_argument("--layout", choices=("circular", "linear", "heatmap"), default="circular")
-    pv.add_argument("--matrix", default=None, help="data matrix (heatmap layout)")
+    pv.add_argument("--matrix", default=None, help="data matrix (heatmap layout only)")
     pv.add_argument("--labels", default=None, help="file with one node name per line")
     pv.add_argument("--opacity", type=float, default=0.35)
     pv.add_argument("--format", choices=("dense", "sparse"), default=None)

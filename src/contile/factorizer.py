@@ -23,8 +23,8 @@ pure function of its side and its fixed set, and the seeds of a round run
 in lockstep: all of them take the same half-step (rows for fixed columns,
 then columns for fixed rows) at the same time.  At each one
 `alternate_seeds` collects the live seeds' fixed sets that its memo, made
-per call and so per round, lacks, each once, stacks their weight rows in
-blocks of `optset.block_rows`, and runs one batched tree DP per block
+per call and so per round, lacks, each once, writes their weight rows into
+int32 blocks of `optset.block_rows`, and runs one batched tree DP per block
 (`optset.best_compatible_sets`; `best_cyclic_sets` adds one over -w for the
 rows a wrap-around set can still win) over the tree the DP compiles once
 per round.  Seeds converge to the same few tiles, so most half-steps are
@@ -121,11 +121,8 @@ class StepState(Variant):
 
     def mark(self, rows: Sequence[int], cols: Sequence[int]) -> None:
         """Mark a tile as covered (with its transpose, in the symmetric variants' shared strip)."""
-        r = np.asarray(tuple(rows), dtype=np.int64)
-        c = np.asarray(tuple(cols), dtype=np.int64)
-        if r.size and c.size:
-            self.strips[1][np.ix_(r, c)] = 0
-            self.strips[0][np.ix_(c, r)] = 0
+        self.strips[1][np.ix_(rows, cols)] = 0
+        self.strips[0][np.ix_(cols, rows)] = 0
 
     def reduction_set(self, tree: PQTree, s: Sequence[int]) -> Sequence[int]:
         """The set `tree` is reduced by to keep s contiguous: in the cyclic
@@ -145,15 +142,16 @@ class StepState(Variant):
 # -- per-step weights -----------------------------------------------------
 
 
-def step_weights(state: StepState, fixed: Sequence[int], side: int = 1) -> np.ndarray:
+def step_weights(state: StepState, fixed: Sequence[int], side: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """Weights of `side`'s elements for a tile on the `fixed` set of the other
     side: the int32 sum of the strip over `fixed` (exact: |weight| <= 2n),
     uncovered ones minus uncovered zeros (and in the symmetric variants those
-    of the mirrored strip too, so a diagonal cell of the region counts twice)."""
-    fx = np.asarray(fixed, dtype=np.int64)
+    of the mirrored strip too, so a diagonal cell of the region counts twice),
+    written to `out` when given."""
+    fx = np.asarray(fixed, dtype=np.intp)
     if fx.size == 0:
         raise ValueError("fixed set is empty")
-    return state.strips[side][fx].sum(axis=0, dtype=np.int32)
+    return np.add.reduce(state.strips[side][fx], axis=0, dtype=np.int32, out=out)
 
 
 # -- alternation ------------------------------------------------------------
@@ -183,7 +181,9 @@ def _half_steps(state: StepState, memo: dict, fixed: list[tuple[int, ...]], side
     size = block_rows(tree)
     for i in range(0, len(todo), size):
         block = todo[i : i + size]
-        w = np.stack([step_weights(state, fx, side) for _, fx in block])
+        w = np.empty((len(block), tree.n), dtype=np.int32)
+        for row, (_, fx) in zip(w, block):
+            step_weights(state, fx, side, row)
         memo.update(zip(block, state.pick(tree, w)))
     return [memo[key] for key in keys]
 
@@ -245,11 +245,11 @@ def _joint_cols(state: StepState, rows: tuple[int, ...], cols: tuple[int, ...], 
     rows == cols or a reduction set has at most one element: reducing by it is
     a no-op on the tree `cols` was picked on, and it is always admitted.
     """
-    rs = state.reduction_set(state.trees[0], rows)
-    if rows == cols or len(rs) <= 1 or len(state.reduction_set(state.trees[0], cols)) <= 1:
+    n = state.trees[0].n  # cyclic: a sorted s holding the anchor 0 is reduced by its n - len(s) complement
+    if rows == cols or min(n - len(s) if state.cyclic and s[0] == 0 else len(s) for s in (rows, cols)) <= 1:
         return cols, gain
     tree = state.trees[0].copy()
-    tree.reduce(rs)
+    tree.reduce(state.reduction_set(tree, rows))
     if tree.admits(state.reduction_set(tree, cols)):
         return cols, gain
     return state.pick(tree, step_weights(state, rows)[None])[0]

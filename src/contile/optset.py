@@ -40,7 +40,14 @@ The decisions are index tags, three arrays of shape (nodes, S) per group:
   end_tag     P: the second end of a run; Q: the run's first child
 
 One top-down pass over the groups (`_extract`) reads every row's chosen set
-off the tags as an S x n membership mask.  All arithmetic is exact integers.
+off the tags as an S x n membership mask.  All arithmetic is exact
+integers: int32 when a bound taken from the block proves it, else int64.
+Every counter and candidate is the key of a set of one row's elements, or
+its negative, so |value| <= bound = max over rows of sum(|w|) * (2n + 1) + n;
+or it is such a value plus one NEG (a pad, after a node's real children, or
+a masked candidate).  With bound <= 2**27 and NEG = -2**29 (int32's minimum
+over 4), every value lies in [NEG - bound, bound], inside int32, and one
+holding NEG, at most NEG + bound, stays below every real key.
 
 `best_cyclic_sets` adds the wrap-around sets, complements of best sets for
 -w, in a second pass over just the rows where they can still win.
@@ -54,8 +61,7 @@ import numpy as np
 
 from .pqtree import PNODE, PQTree
 
-NEG = np.iinfo(np.int64).min // 4  # below every tie key; pads and masked candidates
-BLOCK_BYTES = 384 * 1024  # bound on one call's three int64 counters per node and weight row
+BLOCK_BYTES = 384 * 1024  # bound on one call's three 4-byte counters per node and weight row (twice it at int64)
 EMPTY = -1  # inner_tag of an empty inner set
 
 # what `_extract` takes of a node's subtree
@@ -82,9 +88,9 @@ class Counters:
 
 
 def block_rows(tree: PQTree) -> int:
-    """Weight rows per `compute_counters` call on `tree` whose counters fit
-    `BLOCK_BYTES`: 24 bytes per node (and the sentinel) and row; at least 1."""
-    return max(1, BLOCK_BYTES // (24 * (len(tree.kind) + 1)))
+    """Weight rows per `compute_counters` call on `tree` whose int32 counters
+    fit `BLOCK_BYTES`: 12 bytes per node (and the sentinel) and row; at least 1."""
+    return max(1, BLOCK_BYTES // (12 * (len(tree.kind) + 1)))
 
 
 def compute_counters(tree: PQTree, w) -> Counters:
@@ -101,12 +107,15 @@ def compute_counters(tree: PQTree, w) -> Counters:
     s = w.shape[0]
     sentinel = len(tree.kind)
     scale = 2 * n + 1
-    total, border, inner = (np.empty((sentinel + 1, s), dtype=np.int64) for _ in range(3))
-    np.multiply(w.T, scale, out=total[:n], dtype=np.int64)  # the dtype widens an int32 block
+    bound = int(np.abs(w).sum(axis=1, dtype=np.int64).max(initial=0)) * scale + n  # |key| of any set
+    dtype = np.int32 if bound <= 2**27 else np.int64  # the width rule of the module docstring
+    neg = np.iinfo(dtype).min // 4  # below every tie key; pads and masked candidates
+    total, border, inner = (np.empty((sentinel + 1, s), dtype=dtype) for _ in range(3))
+    np.multiply(w.T, scale, out=total[:n], dtype=dtype)  # in the counters' width, so int64 widens an int32 block
     total[:n] -= 1
     border[:n] = total[:n]
     np.maximum(total[:n], 0, out=inner[:n])
-    total[sentinel], border[sentinel], inner[sentinel] = 0, NEG, NEG
+    total[sentinel], border[sentinel], inner[sentinel] = 0, neg, neg
     cols = np.arange(s)
     tags = []
 
@@ -120,7 +129,7 @@ def compute_counters(tree: PQTree, w) -> Counters:
             np.subtract(border.take(cs, axis=0), gv, out=gv)  # what making a child a border end adds
             x1 = gv.argmax(axis=1)
             g1 = gv[at, x1, cols]
-            gv[at, x1, cols] = NEG
+            gv[at, x1, cols] = neg
             x2 = gv.argmax(axis=1)
             g2 = gv[at, x2, cols]
             del gv
@@ -138,9 +147,9 @@ def compute_counters(tree: PQTree, w) -> Counters:
 
         g, a = cs.shape  # Q: prefix sums down the ordered children, (nodes, arity, S)
         bx = border.take(cs, axis=0)
-        pref = np.zeros((g, a + 1, s), dtype=np.int64)
+        pref = np.zeros((g, a + 1, s), dtype=dtype)
         np.cumsum(total.take(cs, axis=0), axis=1, out=pref[:, 1:])
-        ends = np.empty((g, 2 * a, s), dtype=np.int64)
+        ends = np.empty((g, 2 * a, s), dtype=dtype)
         ends[:, 0::2] = pref[:, :-1] + bx  # full prefix, the border child at the right
         ends[:, 1::2] = (pref[:, -1:] - pref[:, 1:]) + bx  # full suffix
         # best border(c_i) - pref(i + 1) over i < j, and the first i reaching it
@@ -149,9 +158,9 @@ def compute_counters(tree: PQTree, w) -> Counters:
         first = np.zeros((g, a, s), dtype=np.intp)
         first[:, 1:] = np.where(t[:, 1:] > best_t[:, :-1], np.arange(1, a)[:, None], 0)
         np.maximum.accumulate(first, axis=1, out=first)
-        cand = np.empty((g, 2 * a, s), dtype=np.int64)
+        cand = np.empty((g, 2 * a, s), dtype=dtype)
         cand[:, 0::2] = inner.take(cs, axis=0)
-        cand[:, 1] = NEG
+        cand[:, 1] = neg
         cand[:, 3::2] = bx[:, 1:] + pref[:, 1:-1] + best_t[:, :-1]  # run from first[j - 1] to j
         it = cand.argmax(axis=1)
         best = cand[at, it, cols]
@@ -211,7 +220,7 @@ def _extract(tree: PQTree, positive: np.ndarray, tags: list) -> np.ndarray:
 
 def _answers(mask: np.ndarray, gains: np.ndarray) -> list[tuple[tuple[int, ...], int]]:
     """Each row's (set, gain), the set read off its row of the S x n mask."""
-    return list(zip((tuple(np.flatnonzero(row).tolist()) for row in mask), gains.tolist()))
+    return list(zip((tuple(row.nonzero()[0].tolist()) for row in mask), gains.tolist()))
 
 
 def best_compatible_sets(tree: PQTree, w) -> list[tuple[tuple[int, ...], int]]:

@@ -325,8 +325,8 @@ def check_orders(rng: random.Random, cases: int) -> str | None:
 
 def check_optset(rng: random.Random, cases: int) -> str | None:
     """The scalar DP's best compatible set and border counter agree with brute
-    force, and the batched kernel agrees with the scalar DP on a block of rows
-    (duplicates included) drawn from the case's weights and a few more."""
+    force on trees of n <= 8, and the batched kernel agrees with the scalar DP
+    on trees of n <= 30, a quarter of the blocks past the int32 key bound."""
     for _ in range(cases):
         n = rng.randint(2, 8)
         tree = PQTree(n)
@@ -345,8 +345,14 @@ def check_optset(rng: random.Random, cases: int) -> str | None:
                 f"optset: tree={tree.to_string()} w={w}: got {s} inner={g} border={border}, "
                 f"want {want_inner}/{want_border}"
             )
-        block = np.array([w] + [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, 3))])
-        bad = batched_mismatch(tree, block[[rng.randrange(len(block)) for _ in range(rng.randint(1, 6))]])
+        n = rng.randint(2, 30)
+        tree, order = PQTree(n), rng.sample(range(n), n)
+        for i in (rng.randrange(n) for _ in range(rng.randint(0, 6))):  # intervals of one order: overlaps build Q-nodes
+            tree.reduce(order[i : rng.randint(i + 1, n)])
+        weights = rng.choice(((-1, 0, 0, 1), range(-5, 6)))
+        rows = [[rng.choice(weights) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        block = np.array([rng.choice(rows) for _ in range(rng.randint(1, 6))]) << (27 if rng.random() < 0.25 else 0)
+        bad = batched_mismatch(tree, block)
         if bad is not None:
             return f"optset: tree={tree.to_string()} w={block.tolist()}: {bad}"
     return None

@@ -243,9 +243,11 @@ class PQTree:
         new = list(range(len(self.kind)))  # old id -> new id; leaves keep theirs
         kind, children = self.kind[:n], self.children[:n]
         minleaf = list(range(n))
-        for v in self._postorder(self.root):
-            if v < n:
-                continue
+        stack, walk = [self.root], []  # the P- and Q-nodes under the (internal) root, parents first
+        while stack:
+            walk.append(v := stack.pop())
+            stack.extend([c for c in self.children[v] if c >= n])
+        for v in reversed(walk):
             cs = [new[c] for c in self.children[v]]
             if len(cs) == 1:
                 new[v] = cs[0]

@@ -60,17 +60,12 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def flip_count(rate: float, n_cells: int) -> int:
-    # round half up, so e.g. 10% of 95x95 flips exactly 903 cells
-    return math.floor(rate * n_cells + 0.5)
-
-
 def flip_noise(m: BinaryMatrix, rate: float, rng_seed: int) -> BinaryMatrix:
     """Flip an exact count of distinct uniformly chosen cells."""
     if not 0 <= rate <= 0.5:
         raise ValueError(f"flip rate must be in [0, 0.5], got {rate}")
     cells = m.n_rows * m.n_cols
-    count = flip_count(rate, cells)
+    count = math.floor(rate * cells + 0.5)  # round half up, so e.g. 10% of 95x95 flips exactly 903 cells
     if count == 0:
         return m
     flips = _rng(rng_seed).choice(cells, size=count, replace=False)

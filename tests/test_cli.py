@@ -215,6 +215,13 @@ class TestRender:
                            "--matrix", str(blocks_file), "--labels", str(labels), "-o", str(out))
         assert code == 2 and "labels" in err and not out.exists()
 
+    @pytest.mark.parametrize("layout", ["circular", "linear"])
+    @pytest.mark.parametrize("extra", [["--matrix", "nonexistent.spm"], ["--format", "dense"]])
+    def test_drawings_refuse_matrix_and_format(self, factor_file, tmp_path, capsys, layout, extra):
+        out = tmp_path / f"{layout}.svg"
+        code, _, err = run(capsys, "render", "--factors", str(factor_file), "--layout", layout, *extra, "-o", str(out))
+        assert code == 2 and extra[0] in err and not out.exists()
+
 
 class TestCheck:
     def test_passes(self, capsys):

@@ -281,6 +281,14 @@ class TestFactorize:
         f2 = factorize(d, 4)
         assert format_report(f1) == format_report(f2)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_block_size_does_not_change_the_report(self, variant, monkeypatch):
+        d = flip_noise(gen_blocks(BlockSpec(4, 20, 5)), 0.1, 2)
+        report = format_report(factorize(d, 5, variant))
+        monkeypatch.setattr(optset, "BLOCK_BYTES", 1)  # one weight row per DP call
+        assert optset.block_rows(PQTree(d.n_rows)) == 1
+        assert format_report(factorize(d, 5, variant)) == report
+
     def test_rank1_never_beats_brute_force(self, rng):
         gaps = []
         for _ in range(10):

@@ -214,6 +214,38 @@ class TestBatchedEqualsScalar:
             assert oracle.batched_mismatch(t, w) is None, (t.to_string(), w.tolist())
         assert with_q >= 60 and q_groups >= 10
 
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_blocks_at_the_int32_bound(self, past):
+        # the heaviest row's key bound, sum(|w|) * (2n + 1) + n, at most 2**27
+        # (int32 counters) or just past it (int64); every row of the block is
+        # that heavy, some of one sign, so a root key nears the bound
+        rng = random.Random(27 + past)
+        for _ in range(40):
+            n = rng.randint(2, 30)
+            t = random_interval_tree(rng, n, rng.randint(1, 6)) if rng.random() < 0.6 else random_reduced_tree(rng, n, 0, 3)
+            heaviest = (2**27 - n) // (2 * n + 1) + past
+            rows = []
+            for _ in range(rng.randint(1, 8)):
+                parts = np.diff([0, *sorted(rng.sample(range(1, heaviest), n - 1)), heaviest])
+                signs = rng.choice([np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64),
+                                    np.array([rng.choice((-1, 1)) for _ in range(n)])])
+                rows.append(signs * parts)
+            w = np.array([rng.choice(rows) for _ in range(rng.randint(1, 12))])
+            assert compute_counters(t, w).total.dtype == (np.int64 if past else np.int32)
+            assert oracle.batched_mismatch(t, w) is None, (t.to_string(), w.tolist())
+
+    def test_a_padded_q_node_at_the_int32_bound(self):
+        # Q(0, 1, 2) is padded to the arity of Q(3, 4, 5, 6), and both its
+        # ends weigh -bound / 2: its border key lies near -2**26, and the
+        # pad's suffix candidate, NEG itself, must stay below it
+        t = PQTree(8)
+        for s in ({0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}):
+            assert t.reduce(s)
+        half = ((2**27 - 8) // 17 - 4) // 2  # sum(|w|) * 17 + 8 <= 2**27, the four +-1 included
+        w = np.array([[-half, -1, -half, 1, 0, -1, 0, 1], [-half, 1, -half, -1, 1, 0, 0, -1]])
+        assert compute_counters(t, w).total.dtype == np.int32
+        assert oracle.batched_mismatch(t, w) is None
+
     def test_q_nodes_of_one_height_share_a_group(self):
         t = PQTree(8)
         for s in ({0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}):
@@ -242,13 +274,14 @@ class TestBlockMemory:
         calls = []
         kernel = optset.compute_counters
         monkeypatch.setattr(optset, "compute_counters", lambda tree, w: calls.append(len(w)) or kernel(tree, w))
-        assert peak_bytes(pick) < 2 * 1000 * 1000
+        blocked = peak_bytes(pick)
+        assert blocked < 2 * 1000 * 1000
         rows = optset.block_rows(state.trees[0])
-        assert rows == 63 and len(calls) == 5 and sum(calls) == 255  # no -w pass on the one P-node
+        assert rows == 127 and len(calls) == 3 and sum(calls) == 255  # no -w pass on the one P-node
         monkeypatch.setattr(optset, "BLOCK_BYTES", optset.BLOCK_BYTES // rows * len(fixed))  # bytes per row, 255 rows
         assert optset.block_rows(state.trees[0]) >= len(fixed)
         calls.clear()
-        assert peak_bytes(pick) > 2 * 1000 * 1000  # one unblocked call would not fit
+        assert peak_bytes(pick) >= 1.5 * blocked  # one unblocked call holds more at once
         assert calls == [255]
 
 
