@@ -42,12 +42,6 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text[at : at + WRITE_CHARS])
 
 
-def _stats(m: BinaryMatrix) -> str:
-    cells = m.n_rows * m.n_cols
-    dens = m.nnz / cells if cells else 0.0
-    return f"{m.n_rows}x{m.n_cols} nnz={m.nnz} density={dens:.4f}"
-
-
 # -- synth -------------------------------------------------------------------
 
 
@@ -60,7 +54,8 @@ def cmd_synth(args) -> int:
     fmt = args.format or (args.output and _guess_format(args.output)) or "sparse"
     text = bitmat.dump_sparse(m) if fmt == "sparse" else bitmat.dump_dense(m)
     _write_text(text, args.output)
-    print(_stats(m), file=sys.stderr)
+    cells = m.n_rows * m.n_cols  # at least one: synth makes no empty matrix
+    print(f"{m.n_rows}x{m.n_cols} nnz={m.nnz} density={m.nnz / cells:.4f}", file=sys.stderr)
     return 0
 
 
@@ -144,6 +139,11 @@ def cmd_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # after the package's modules: compiled with argparse loaded, they raised peak RSS 0.3 MB
 
+    def seed(text: str) -> int:  # every --rng: numpy's Philox refuses a negative key without naming the option
+        if (value := int(text)) < 0:
+            raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+        return value
+
     p = argparse.ArgumentParser(prog="contile", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--density", type=float, required=True)
     for q in (pb, pr):
-        q.add_argument("--rng", type=int, default=0)
+        q.add_argument("--rng", type=seed, default=0)
         q.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
         q.add_argument("--format", choices=("dense", "sparse"), default=None)
         q.set_defaults(func=cmd_synth)
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("-k", type=int, required=True, help="number of factors")
     pf.add_argument("--variant", choices=VARIANTS, default="plain")
     pf.add_argument("--seeds", default="all", help="'all' or 'sample:FRACTION'")
-    pf.add_argument("--rng", type=int, default=0)
+    pf.add_argument("--rng", type=seed, default=0)
     pf.add_argument("--format", choices=("dense", "sparse"), default=None)
     pf.add_argument("-o", "--output", default=None, help="also write the report here")
     pf.set_defaults(func=cmd_factorize)
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="run brute-force oracle batteries")
     pc.add_argument("--cases", type=int, default=200)
-    pc.add_argument("--rng", type=int, default=0)
+    pc.add_argument("--rng", type=seed, default=0)
     pc.set_defaults(func=cmd_check)
     return p
 

@@ -12,38 +12,32 @@ Invariant: every accepted row set and column set is contiguous (cyclically
 so in the cyclic variants) under one order admitted by its tree.  In the
 symmetric variants that is one tree, so the rows and the cols of each tile
 must fit it jointly; that each fits alone does not mean both fit.  The
-alternation picks each half-step from the tree alone; when it ends with
-rows != cols, the column set is checked against a copy of the tree reduced
-by the row set and, if that copy does not admit it, picked again on that
-copy with the same weights.  Only the final pair is repaired, not every
-half-step, which keeps the alternation as cheap as in the plain variants.
+alternation picks each half-step from the tree alone; only the final pair
+is repaired (`_joint_cols`), which keeps the alternation as cheap as in the
+plain variants.
 
 Within a round the trees and the scores do not change, so a half-step is a
-pure function of its side and its fixed set, and the seeds of a round run
-in lockstep: all of them take the same half-step (rows for fixed columns,
-then columns for fixed rows) at the same time.  At each one
-`alternate_seeds` collects the live seeds' fixed sets that its memo, made
-per call and so per round, lacks, each once, writes their weight rows into
-int32 blocks of `optset.block_rows`, and runs one batched tree DP per block
-(`optset.best_compatible_sets`; `best_cyclic_sets` adds one over -w for the
-rows a wrap-around set can still win) over the tree the DP compiles once
-per round.  Seeds converge to the same few tiles, so most half-steps are
-read from the memo.  Each result is the one a lone evaluation gives, so
-every seed's alternation and the round's winner are those of running each
-seed on its own.  The memo key is the tree a half-step picks on and its
-fixed set: the symmetric variants share one tree and one score strip
-between the sides, so a fixed set's row step and column step are one key.
+pure function of its side and its fixed set.  The seeds run in lockstep
+(`_lockstep`) over one memo per round, keyed by the tree picked on and the
+fixed set (the symmetric variants' row and column steps share a key); the
+sets it lacks are weighed one set size at a time into blocks of
+`optset.block_rows`, one batched tree DP per block, so each seed's final
+pair is that of running it alone.  `alternate_seeds` keeps only the round's
+winner: it finishes each distinct symmetric pair at most once, and repairs
+one only while its bound can reach the best exact gain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from .bitmat import BinaryMatrix, FormatError, hamming_error, positions, reconstruct, run_under
+from . import optset
 from .optset import best_compatible_sets, best_cyclic_sets, block_rows
 from .pqtree import PQTree
 
@@ -142,26 +136,20 @@ class StepState(Variant):
 # -- per-step weights -----------------------------------------------------
 
 
-def step_weights(state: StepState, fixed: Sequence[int], side: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+def step_weights(state: StepState, fixed, side: int = 1) -> np.ndarray:
     """Weights of `side`'s elements for a tile on the `fixed` set of the other
     side: the int32 sum of the strip over `fixed` (exact: |weight| <= 2n),
     uncovered ones minus uncovered zeros (and in the symmetric variants those
-    of the mirrored strip too, so a diagonal cell of the region counts twice),
-    written to `out` when given."""
+    of the mirrored strip too, so a diagonal cell of the region counts twice).
+    A (count, size) array of equal-size fixed sets gives their count weight
+    rows from one gather."""
     fx = np.asarray(fixed, dtype=np.intp)
-    if fx.size == 0:
+    if fx.shape[-1] == 0:
         raise ValueError("fixed set is empty")
-    return np.add.reduce(state.strips[side][fx], axis=0, dtype=np.int32, out=out)
+    return np.add.reduce(state.strips[side][fx], axis=-2, dtype=np.int32)
 
 
 # -- alternation ------------------------------------------------------------
-
-
-@dataclass
-class AlternateResult:
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    gain: int  # exact decrease in disagreements if the tile is added
 
 
 def _overlap(strip, rows, cols) -> int:
@@ -180,27 +168,29 @@ def _half_steps(state: StepState, memo: dict, fixed: list[tuple[int, ...]], side
     todo = list(dict.fromkeys(key for key in keys if key not in memo))
     size = block_rows(tree)
     for i in range(0, len(todo), size):
-        block = todo[i : i + size]
-        w = np.empty((len(block), tree.n), dtype=np.int32)
-        for row, (_, fx) in zip(w, block):
-            step_weights(state, fx, side, row)
-        memo.update(zip(block, state.pick(tree, w)))
+        block = sorted(todo[i : i + size], key=lambda key: len(key[1]))  # a DP row's answer ignores the others
+        memo.update(zip(block, state.pick(tree, _block_weights(state, [fx for _, fx in block], side))))
     return [memo[key] for key in keys]
 
 
-def alternate_seeds(state: StepState, seeds: Sequence[int]) -> list[AlternateResult]:
-    """Grow one tile from each seed column until its gain stops rising, all seeds in lockstep.
+def _block_weights(state: StepState, fixed: list[tuple[int, ...]], side: int) -> np.ndarray:
+    """The weight rows of `fixed`, sorted by size: one gather per size, split
+    where its int8 gather would not fit `optset.BLOCK_BYTES`."""
+    parts = []
+    for k, group in groupby(fixed, key=len):
+        sets, per = list(group), max(1, optset.BLOCK_BYTES // (k * state.trees[side].n))
+        parts += [step_weights(state, sets[j : j + per], side) for j in range(0, len(sets), per)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _lockstep(state: StepState, seeds: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Each seed's final (rows, cols, column-step gain), ((), (), 0) for the empty tile.
 
     Row and column picks alternate, each from its own tree alone, over one
     memo of half-steps that the call makes and drops.  A seed stays live
     while its last pick is non-empty and its column-step gain rose, so per
     seed only its sets and that last gain are kept; an empty last pick ends
-    it with the empty tile.  In the symmetric variants both picks come from
-    the one node tree, so each final pair is then repaired to fit that tree
-    jointly (see `_joint_cols`); the reported gain is the repaired pair's
-    column-step gain less its `_overlap`, which that gain counts twice: the
-    exact error decrease.  Each distinct final pair and gain is repaired and
-    scored once per call.
+    it with the empty tile.
     """
     memo: dict = {}
     cols = [(int(j),) for j in seeds]
@@ -219,40 +209,66 @@ def alternate_seeds(state: StepState, seeds: Sequence[int]) -> list[AlternateRes
         live = rising
         if not live:
             break
-    results = []
-    finished: dict = {}  # symmetric: (rows, cols, gain) -> the repaired cols and exact gain
-    for r, c, gain in zip(rows, cols, gains):
-        if not (r and c):
-            results.append(AlternateResult((), (), 0))
-            continue
-        if state.symmetric:
-            if (r, c, gain) not in finished:
-                jc, jg = _joint_cols(state, r, c, gain)
-                finished[r, c, gain] = jc, jg - _overlap(state.strips[1], r, jc)
-            c, gain = finished[r, c, gain]
-        results.append(AlternateResult(r, c, gain))
-    return results
+    return [(r, c, g) if r and c else ((), (), 0) for r, c, g in zip(rows, cols, gains)]
+
+
+def alternate_seeds(state: StepState, seeds: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The round's winner (rows, cols, exact gain): of the tiles grown from
+    each seed column (`_lockstep`), the first of highest exact gain.
+
+    In the symmetric variants a final pair's exact gain is that of its
+    repaired cols (`_joint_cols`) less the `_overlap`, which the column-step
+    gain g counts twice; when rows == cols, g is twice the overlap.  A pair
+    needing a tree copy is first bounded by g plus half the negative mass of
+    the strip over rows x rows (the repaired gain is at most g, and the
+    overlap at least minus that half), and is finished, in falling bound
+    order, only while its bound reaches the best exact gain so far.
+    """
+    finals = _lockstep(state, seeds)
+    if not state.symmetric:
+        return max(finals, key=lambda f: f[2])  # the first seed among equal gains
+    strip = state.strips[1]
+    finished, costly = {}, []  # pair -> its repaired cols and exact gain; (bound, pair) of those needing a copy
+    for pair in dict.fromkeys(finals):
+        r, c, g = pair
+        if _copy_free(state, r, c):  # rows == cols includes the empty tile
+            finished[pair] = c, g // 2 if r == c else g - _overlap(strip, r, c)
+        else:
+            square = strip[np.ix_(r, r)]
+            costly.append((g - int(square[square < 0].sum()) // 2, pair))
+    best = max((gain for _, gain in finished.values()), default=-math.inf)
+    for bound, pair in sorted(costly, key=lambda item: -item[0]):
+        if bound < best:
+            break
+        jc, jg = _joint_cols(state, *pair)
+        finished[pair] = jc, jg - _overlap(strip, pair[0], jc)
+        best = max(best, finished[pair][1])
+    winner = max((f for f in finals if f in finished), key=lambda f: finished[f][1])
+    return (winner[0], *finished[winner])
+
+
+def _copy_free(state: StepState, rows: tuple[int, ...], cols: tuple[int, ...]) -> bool:
+    """Whether `_joint_cols` would keep `cols`, known without its copy: rows ==
+    cols, or a reduction set of at most one element (a no-op, always admitted)."""
+    n = state.trees[0].n  # cyclic: a sorted s holding the anchor 0 is reduced by its n - len(s) complement
+    return rows == cols or min(n - len(s) if state.cyclic and s[0] == 0 else len(s) for s in (rows, cols)) <= 1
 
 
 def _joint_cols(state: StepState, rows: tuple[int, ...], cols: tuple[int, ...], gain: int):
     """A column set that fits the node tree together with `rows`, and its gain.
 
-    Returns `cols` and its column-step `gain` when the tree, reduced by
-    `rows`, still admits it; otherwise picks again on that reduced copy with
-    the column weights of `rows`, the ones `cols` was picked with.
+    Returns `cols` and its column-step `gain` when a copy of the tree,
+    reduced by `rows`, still admits it; otherwise picks again on that copy
+    with the column weights of `rows`, the ones `cols` was picked with.
     The new pick is never empty: `cols` had positive gain, so some node has
-    positive weight, and every singleton is admitted.  No copy is needed when
-    rows == cols or a reduction set has at most one element: reducing by it is
-    a no-op on the tree `cols` was picked on, and it is always admitted.
+    positive weight, and every singleton is admitted.  A pair `_copy_free`
+    accepts keeps `cols` without this copy.
     """
-    n = state.trees[0].n  # cyclic: a sorted s holding the anchor 0 is reduced by its n - len(s) complement
-    if rows == cols or min(n - len(s) if state.cyclic and s[0] == 0 else len(s) for s in (rows, cols)) <= 1:
-        return cols, gain
     tree = state.trees[0].copy()
     tree.reduce(state.reduction_set(tree, rows))
     if tree.admits(state.reduction_set(tree, cols)):
         return cols, gain
-    return state.pick(tree, step_weights(state, rows)[None])[0]
+    return state.pick(tree, step_weights(state, [rows]))[0]
 
 
 # -- seeds --------------------------------------------------------------------
@@ -284,7 +300,7 @@ def factorize(
 
     Every round starts one alternation from each seed column (default: all
     columns) and accepts the tile of highest gain, the earliest seed among
-    equal gains.  The seeds of a round run in lockstep (`alternate_seeds`)
+    equal gains.  The seeds of a round run in lockstep (`_lockstep`)
     over one memo of half-steps: the trees and scores change only when a
     tile is accepted, so each distinct half-step is evaluated once per
     round, with the result a fresh evaluation would give.
@@ -304,22 +320,14 @@ def factorize(
         raise ValueError(f"seed columns must lie in 0..{d.n_cols - 1}")
     factors: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for _ in range(k):
-        results = alternate_seeds(state, seeds)
-        best = max(results, key=lambda res: res.gain)  # first seed among equal gains
-        if best.gain <= 0:
+        rows, cols, gain = alternate_seeds(state, seeds)
+        if gain <= 0:
             break
-        _accept(state, best.rows, best.cols)
-        factors.append((best.rows, best.cols))
+        _accept(state, rows, cols)
+        factors.append((rows, cols))
 
     row_order, col_order = (tree.frontier() for tree in state.trees)
-    f = Factorization(
-        variant=variant,
-        factors=factors,
-        row_order=row_order,
-        col_order=col_order,
-        error=0,
-        rank_requested=k,
-    )
+    f = Factorization(variant, factors, row_order, col_order, error=0, rank_requested=k)
     f.error = hamming_error(d, reconstruct(f))
     f.rel_error = f.error / d.nnz if d.nnz else 0.0
     return f
@@ -440,12 +448,4 @@ def parse_report(text: str) -> Factorization:
         factors.append(tuple(tile))
     if len(factors) != used:
         raise FormatError(f"RANK says {used} factors, the report has {len(factors)}", end)
-    return Factorization(
-        variant=variant,
-        factors=factors,
-        row_order=row_order,
-        col_order=col_order,
-        error=error,
-        rank_requested=requested,
-        rel_error=rel,
-    )
+    return Factorization(variant, factors, row_order, col_order, error=error, rank_requested=requested, rel_error=rel)

@@ -69,6 +69,17 @@ def blocks_file(tmp_path, capsys):
     return path
 
 
+@pytest.mark.parametrize("argv", [
+    ("synth", "blocks", "--noise", "0.1", "--rng", "-1"),
+    ("factorize", "MATRIX", "-k", "1", "--seeds", "sample:0.5", "--rng", "-3"),
+])
+def test_negative_rng_is_refused_by_name(blocks_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:  # by argparse, not by numpy's "expected non-negative integer"
+        main([str(blocks_file) if arg == "MATRIX" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert "argument --rng: must be a non-negative integer, got -" in capsys.readouterr().err
+
+
 class TestFactorize:
     def test_symmetric_exact(self, blocks_file, capsys):
         code, out, _ = run(capsys, "factorize", str(blocks_file), "-k", "3", "--variant", "sym")

@@ -22,7 +22,7 @@ from contile.oracle import brute_compatible_sets, brute_rank1
 from contile.pqtree import PQTree
 from contile.synth import BlockSpec, flip_noise, gen_blocks
 
-from conftest import random_binary
+from conftest import peak_bytes, random_binary
 
 
 VARIANTS = ("plain", "cyclic", "sym", "cyclic-sym")
@@ -82,6 +82,26 @@ class TestStepWeights:
             strip = score + score.T if symmetric else (score.T, score)[side]
             fixed = sorted(rng.sample(range(len(strip)), rng.randint(1, len(strip))))
             assert step_weights(st, fixed, side).tolist() == strip[fixed].sum(axis=0).tolist(), (dense.tolist(), cover.tolist())
+
+    def test_a_block_of_one_large_size_is_gathered_in_parts(self, monkeypatch):
+        # a DP block of 200-node fixed sets on the 255-node benchmark input: gathered at once, 6.5 MB of int8
+        state = StepState.initial(flip_noise(gen_blocks(BlockSpec(10, 30, 5)), 0.1, 1), "cyclic-sym")
+        rng = random.Random(4)
+        fixed = [tuple(sorted(rng.sample(range(255), 200))) for _ in range(optset.block_rows(state.trees[1]))]
+        assert len(fixed) * 200 * 255 > 10 * optset.BLOCK_BYTES
+        gather, peaks = factorizer.step_weights, []
+
+        def traced(st, sets, side=1):
+            peaks.append((len(sets), peak_bytes(lambda: gather(st, sets, side))))
+            return gather(st, sets, side)
+
+        monkeypatch.setattr(factorizer, "step_weights", traced)
+        found = _half_steps(state, {}, fixed, 1)
+        assert sum(count for count, _ in peaks) == len(fixed) and min(count for count, _ in peaks[:-1]) > 1
+        # beside the int8 gather, a call holds the int32 rows it returns, its indices and numpy's casting buffer
+        assert max(peak for _, peak in peaks) <= optset.BLOCK_BYTES + 64 * 1024, peaks
+        monkeypatch.setattr(factorizer, "step_weights", gather)
+        assert found == [_half_steps(state, {}, [fx], 1)[0] for fx in fixed]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_strip_layout(self, variant):
@@ -176,15 +196,12 @@ class TestAlternate:
     def test_single_tile_fixpoint(self):
         d = tile_matrix(5, 6, (1, 2, 3), (0, 1))
         st = StepState.initial(d, "plain")
-        res = alternate_seeds(st, [0])[0]
-        assert res.rows == (1, 2, 3) and res.cols == (0, 1)
-        assert res.gain == 6
+        assert alternate_seeds(st, [0]) == ((1, 2, 3), (0, 1), 6)
 
     def test_all_zero_matrix(self):
         d = BinaryMatrix.zeros(4, 4)
         st = StepState.initial(d, "plain")
-        res = alternate_seeds(st, [2])[0]
-        assert res.rows == () and res.cols == () and res.gain == 0
+        assert alternate_seeds(st, [2]) == ((), (), 0)
 
     def test_half_step_gains_non_decreasing(self, rng, monkeypatch):
         half_steps, gains = factorizer._half_steps, []
@@ -252,9 +269,9 @@ class TestFactorize:
         lockstep, won = factorizer.alternate_seeds, []
 
         def recording(state, seeds):
-            results = lockstep(state, seeds)
-            won.append(max(results, key=lambda res: res.gain).gain)
-            return results
+            best = lockstep(state, seeds)
+            won.append(best[2])
+            return best
 
         monkeypatch.setattr(factorizer, "alternate_seeds", recording)
         for case in range(100):
@@ -282,12 +299,32 @@ class TestFactorize:
         assert format_report(f1) == format_report(f2)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_block_size_does_not_change_the_report(self, variant, monkeypatch):
-        d = flip_noise(gen_blocks(BlockSpec(4, 20, 5)), 0.1, 2)
+    @pytest.mark.parametrize("spec,noise_seed", [(BlockSpec(4, 20, 5), 2), (BlockSpec(6, 20, 5), 1)])
+    def test_block_size_does_not_change_the_report(self, variant, spec, noise_seed, monkeypatch):
+        d = flip_noise(gen_blocks(spec), 0.1, noise_seed)
+        gathers = [[]]  # per DP block: the (sets, size) of each gather
+        gather = factorizer.step_weights
+
+        def recording(st, sets, side=1):
+            gathers[-1].append(np.shape(sets))
+            return gather(st, sets, side)
+
+        monkeypatch.setattr(factorizer, "step_weights", recording)
+        for name in ("best_compatible_sets", "best_cyclic_sets"):
+            pick = getattr(factorizer, name)
+            monkeypatch.setattr(factorizer, name, lambda tree, w, pick=pick: gathers.append([]) or pick(tree, w))
         report = format_report(factorize(d, 5, variant))
+        counts = [[count for count, _ in block] for block in gathers]
+        assert any(1 in block and max(block) > 1 for block in counts)  # a size of one set beside a size of many
         monkeypatch.setattr(optset, "BLOCK_BYTES", 1)  # one weight row per DP call
         assert optset.block_rows(PQTree(d.n_rows)) == 1
         assert format_report(factorize(d, 5, variant)) == report
+        monkeypatch.setattr(optset, "BLOCK_BYTES", 4 * 1024)  # a few rows per DP call, one size in several gathers
+        gathers[:] = [[]]
+        assert 1 < optset.block_rows(PQTree(d.n_rows)) < 8
+        assert format_report(factorize(d, 5, variant)) == report
+        sizes = [[size for _, size in block] for block in gathers]
+        assert any(len(set(block)) < len(block) for block in sizes)
 
     def test_rank1_never_beats_brute_force(self, rng):
         gaps = []
@@ -337,7 +374,7 @@ class TestFactorize:
             return c
 
         monkeypatch.setattr(optset, "compute_counters", counting)
-        lockstep, half_steps = factorizer.alternate_seeds, factorizer._half_steps
+        lockstep, half_steps, alternate = factorizer._lockstep, factorizer._half_steps, factorizer.alternate_seeds
 
         def recording(state, memo, fixed, side):
             if live.get("state") is state:  # the round's own call, not a seed alone below
@@ -347,26 +384,59 @@ class TestFactorize:
                 rounds[-1][2] += len(fixed)
             return half_steps(state, memo, fixed, side)
 
-        def alternate_seeds(state, seeds):
+        def checked_lockstep(state, seeds):
             rounds.append([None, [], 0])
             live["state"] = state
-            results = lockstep(state, seeds)
+            finals = lockstep(state, seeds)
             live.clear()
-            for seed, res in zip(seeds, results):  # each seed alone, on the memo of its own call
-                assert res == lockstep(state, [seed])[0], (variant, len(rounds), seed)
-            return results
+            for seed, final in zip(seeds, finals):  # each seed alone, on the memo of its own call
+                assert final == lockstep(state, [seed])[0], (variant, len(rounds), seed)
+            rounds[-1].append(finals)
+            return finals
+
+        def alternate_seeds(state, seeds):
+            best = alternate(state, seeds)
+            finals = rounds[-1][3]
+            assert best == round_winner(finals, finish_every_pair(state, finals)), (variant, len(rounds))
+            return best
 
         monkeypatch.setattr(factorizer, "_half_steps", recording)
+        monkeypatch.setattr(factorizer, "_lockstep", checked_lockstep)
         monkeypatch.setattr(factorizer, "alternate_seeds", alternate_seeds)
         f = factorize(d, 6, variant=variant)
         assert len(rounds) == f.rank_used == 6
-        assert len({id(memo) for memo, _, _ in rounds}) == 6  # a fresh memo per round
-        for memo, rows, asked in rounds:
+        assert len({id(memo) for memo, _, _, _ in rounds}) == 6  # a fresh memo per round
+        for memo, rows, asked, _ in rounds:
             assert len(rows) == len(memo)  # every distinct key reached the kernel once,
             assert len(set(rows)) == len(rows)  # no weight row came twice,
             assert len(rows) < asked  # and seeds did repeat each other
         assert not pending
         assert bool(second_passes) == variant.startswith("cyclic")
+
+
+def finish_every_pair(state, finals, joint=factorizer._joint_cols, overlap=factorizer._overlap):
+    """Each distinct final pair's repaired cols and exact gain, every
+    symmetric pair finished through `_joint_cols` and `_overlap`, unbounded."""
+    finished = {}
+    for r, c, g in dict.fromkeys(finals):
+        finished[r, c, g] = c, g
+        if state.symmetric and r:
+            jc, jg = joint(state, r, c, g)
+            finished[r, c, g] = jc, jg - overlap(state.strips[1], r, jc)
+    return finished
+
+
+def round_winner(finals, finished):
+    """The first seed's tile of highest exact gain."""
+    r, c, g = max(finals, key=lambda final: finished[final][1])
+    return (r, *finished[r, c, g])
+
+
+def gain_bound(state, rows, gain):
+    """The bound a symmetric final pair's exact gain stays within: its
+    column-step gain plus half the negative mass of the strip over rows x rows."""
+    square = state.strips[1][np.ix_(rows, rows)].astype(int)
+    return gain - int(square[square < 0].sum()) // 2
 
 
 class TestPlantedOrder:
@@ -420,15 +490,6 @@ class TestSymmetricJointFit:
             self.assert_joint_fit(d, factorize(d, 4, variant=variant))
 
     @staticmethod
-    def copy_path(state, rows, cols, gain):
-        """`_joint_cols` without its shortcut: copy, reduce by rows, admit or pick again."""
-        tree = state.trees[0].copy()
-        tree.reduce(state.reduction_set(tree, rows))
-        if tree.admits(state.reduction_set(tree, cols)):
-            return cols, gain
-        return state.pick(tree, step_weights(state, rows)[None])[0]
-
-    @staticmethod
     def pairs(variant, seed):
         """(state, rows, cols, gain) on random symmetric inputs after 0-3 accepted
         tiles.  Rows and cols are each admitted by the node tree: compatible sets
@@ -441,10 +502,10 @@ class TestSymmetricJointFit:
             d = BinaryMatrix(half | half.T)
             state = StepState.initial(d, variant)
             for _ in range(rng.randint(0, 3)):
-                best = max(alternate_seeds(state, list(range(d.n_cols))), key=lambda res: res.gain)
-                if best.gain <= 0:
+                rows, cols, gain = alternate_seeds(state, list(range(d.n_cols)))
+                if gain <= 0:
                     break
-                factorizer._accept(state, best.rows, best.cols)
+                factorizer._accept(state, rows, cols)
             tree = state.trees[0]
             compatible = [s for s in brute_compatible_sets(tree)[0] if s]
             candidates = compatible + [frozenset(range(n)) - s for s in compatible]
@@ -466,10 +527,10 @@ class TestSymmetricJointFit:
     def test_shortcut_matches_the_copy_path(self, variant):
         seen = {"trivial": 0, "fits": 0, "picked again": 0}
         for state, rows, cols, gain in self.pairs(variant, 5):
-            expected = self.copy_path(state, rows, cols, gain)
-            assert factorizer._joint_cols(state, rows, cols, gain) == expected, (state.trees[0].to_string(), rows, cols)
-            if self.trivial(state, rows, cols):
+            expected = factorizer._joint_cols(state, rows, cols, gain)  # copy, reduce by rows, admit or pick again
+            if factorizer._copy_free(state, rows, cols):
                 seen["trivial"] += 1
+                assert expected == (cols, gain), (state.trees[0].to_string(), rows, cols)
             else:
                 seen["fits" if expected == (cols, gain) else "picked again"] += 1
         assert min(seen.values()) >= 10, seen
@@ -484,44 +545,94 @@ class TestSymmetricJointFit:
         monkeypatch.setattr(PQTree, "copy", no_copy)
         trivial = 0
         for state, rows, cols, gain in cases:
-            if self.trivial(state, rows, cols):
-                trivial += 1
-                assert factorizer._joint_cols(state, rows, cols, gain) == (cols, gain)
-            else:
-                with pytest.raises(AssertionError, match="copied"):
-                    factorizer._joint_cols(state, rows, cols, gain)
+            assert factorizer._copy_free(state, rows, cols) == self.trivial(state, rows, cols), (rows, cols)
+            trivial += self.trivial(state, rows, cols)
         assert 100 <= trivial < len(cases)
 
-    def test_each_distinct_final_pair_is_finished_once(self, monkeypatch):
+    @pytest.mark.parametrize("variant", ["sym", "cyclic-sym"])
+    def test_each_distinct_final_pair_is_finished_once(self, variant, monkeypatch):
         d = flip_noise(gen_blocks(BlockSpec(6, 20, 5)), 0.1, 1)
-        rounds = []  # per round: [_joint_cols arguments, _overlap calls]
-        joint, overlap, lockstep = factorizer._joint_cols, factorizer._overlap, factorizer.alternate_seeds
+        rounds = []  # per round: [final pairs, _joint_cols arguments, _overlap calls]
+        joint, overlap = factorizer._joint_cols, factorizer._overlap
+        lockstep, alternate = factorizer._lockstep, factorizer.alternate_seeds
 
         def counting_joint(state, rows, cols, gain):
-            rounds[-1][0].append((rows, cols, gain))
+            rounds[-1][1].append((rows, cols, gain))
             return joint(state, rows, cols, gain)
 
         def counting_overlap(strip, rows, cols):
-            rounds[-1][1] += 1
+            rounds[-1][2] += 1
             return overlap(strip, rows, cols)
 
-        def alternate_seeds(state, seeds):
-            rounds.append([[], 0])
-            results = lockstep(state, seeds)
-            finals = []  # each seed's pair before the repair: rows and their column step
-            for res in results:
-                if res.rows:
-                    cols, gain = _half_steps(state, {}, [res.rows], 1)[0]
-                    finals.append((res.rows, cols, gain))
-            calls, overlaps = rounds[-1]
-            assert sorted(calls) == sorted(set(finals)), len(rounds)
-            assert overlaps == len(calls) < len(finals)  # and seeds did share final pairs
-            return results
+        def recording(state, seeds):
+            finals = lockstep(state, seeds)
+            rounds.append([finals, [], 0])
+            return finals
 
+        def alternate_seeds(state, seeds):
+            best = alternate(state, seeds)
+            finals, calls, overlaps = rounds[-1]
+            finished = finish_every_pair(state, finals)
+            assert best == round_winner(finals, finished), len(rounds)
+            pairs = list(dict.fromkeys(finals))
+            copied = [p for p in pairs if p[0] and not factorizer._copy_free(state, p[0], p[1])]
+            assert len(set(calls)) == len(calls) and set(calls) <= set(copied)  # each at most once, by the copy path
+            assert overlaps == len(calls) + sum(p[0] != p[1] and p not in copied for p in pairs)
+            best_so_far = max((finished[p][1] for p in pairs if p not in copied), default=-np.inf)
+            for pair in calls:  # a copy-path pair is finished only when its bound reaches the best so far
+                bound = gain_bound(state, pair[0], pair[2])
+                assert bound >= best_so_far, (len(rounds), pair)
+                seen["finished"] += 1
+                seen["by the overlap term"] += pair[2] < best_so_far  # its gain alone would not reach it
+                seen["tied"] += bound == best_so_far
+                best_so_far = max(best_so_far, finished[pair][1])
+            for pair in set(copied) - set(calls):  # and skipped only when its bound is below the round's best
+                assert gain_bound(state, pair[0], pair[2]) < best_so_far, (len(rounds), pair)
+                seen["skipped"] += 1
+            return best
+
+        seen = dict.fromkeys(("finished", "by the overlap term", "tied", "skipped"), 0)
         monkeypatch.setattr(factorizer, "_joint_cols", counting_joint)
         monkeypatch.setattr(factorizer, "_overlap", counting_overlap)
+        monkeypatch.setattr(factorizer, "_lockstep", recording)
         monkeypatch.setattr(factorizer, "alternate_seeds", alternate_seeds)
-        assert factorize(d, 6, variant="cyclic-sym").rank_used == len(rounds) == 6
+        assert factorize(d, 6, variant=variant).rank_used == len(rounds) == 6
+        assert all(len(set(finals)) < len(finals) for finals, _, _ in rounds)  # seeds did share final pairs
+        rng = random.Random(9)
+        for case in range(80):  # small inputs, where bounds are loose
+            n = rng.randint(3, 9)
+            dense = random_binary(rng, n, n, 0.4)
+            factorize(BinaryMatrix(dense | dense.T if case % 2 else dense), 3, variant=variant)
+        assert min(seen.values()) >= 1, seen
+
+    @pytest.mark.parametrize("variant", ["sym", "cyclic-sym"])
+    def test_exact_gain_is_within_the_bound(self, variant):
+        # every admitted row set with its column step, after 0-2 accepted tiles, on D = D^T and D != D^T
+        rng = random.Random(11)
+        checked = tight = 0
+        for case in range(40):
+            n = rng.randint(2, 9)
+            dense = random_binary(rng, n, n, 0.4)
+            state = StepState.initial(BinaryMatrix(dense | dense.T if case % 2 else dense), variant)
+            for _ in range(rng.randint(0, 2)):
+                rows, cols, gain = alternate_seeds(state, list(range(n)))
+                if gain <= 0:
+                    break
+                factorizer._accept(state, rows, cols)
+            tree = state.trees[0]
+            subsets = (tuple(u for u in range(n) if bits >> u & 1) for bits in range(1, 2**n))
+            for rows in (s for s in subsets if tree.admits(state.reduction_set(tree, s))):
+                cols, gain = _half_steps(state, {}, [rows], 1)[0]
+                if not cols:
+                    continue
+                jc, jg = factorizer._joint_cols(state, rows, cols, gain)
+                exact = jg - _overlap(state.strips[1], rows, jc)
+                assert exact <= gain_bound(state, rows, gain), (dense.tolist(), rows, cols)
+                if rows == cols:
+                    assert gain % 2 == 0 and exact == gain // 2
+                checked += 1
+                tight += exact == gain_bound(state, rows, gain)
+        assert checked >= 1000 and tight >= 10, (checked, tight)
 
 
 class TestNonSymmetricInput:
