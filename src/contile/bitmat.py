@@ -31,8 +31,7 @@ class BinaryMatrix:
         if arr.ndim != 2:
             raise ValueError("matrix must be 2-dimensional")
         arr.setflags(write=False)
-        self._dense = arr
-        self._nnz = int(np.count_nonzero(arr))
+        self._dense, self._nnz = arr, int(np.count_nonzero(arr))
 
     # -- construction --------------------------------------------------
 
@@ -45,8 +44,7 @@ class BinaryMatrix:
         """Wrap a 2-D bool array that nothing else refers to, without copying it."""
         m = cls.__new__(cls)
         arr.setflags(write=False)
-        m._dense = arr
-        m._nnz = int(np.count_nonzero(arr))
+        m._dense, m._nnz = arr, int(np.count_nonzero(arr))
         return m
 
     # -- views ----------------------------------------------------------

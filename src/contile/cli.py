@@ -61,12 +61,7 @@ def cmd_synth(args) -> int:
 
 def cmd_factorize(args) -> int:
     d = _read_matrix(args.matrix, args.format)
-    if args.seeds == "all":
-        seeds = None
-    elif args.seeds.startswith("sample:"):
-        seeds = seeds_sample(d, float(args.seeds.split(":", 1)[1]), args.rng)
-    else:
-        raise ValueError(f"--seeds must be 'all' or 'sample:FRACTION', got {args.seeds!r}")
+    seeds = None if args.seeds is None else seeds_sample(d, args.seeds, args.rng)
     f = factorize(d, args.k, variant=args.variant, seeds=seeds)
     report = format_report(f)
     sys.stdout.write(report)
@@ -144,6 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
         return value
 
+    def fraction(text: str) -> float | None:  # --seeds: the sampled fraction, None for all seeds
+        try:
+            value = None if text == "all" else float(text.removeprefix("sample:")) if text.startswith("sample:") else -1.0
+        except ValueError:
+            value = -1.0
+        if value is not None and not 0 < value <= 1:
+            raise argparse.ArgumentTypeError(f"must be 'all' or 'sample:FRACTION' with FRACTION in (0, 1], got {text!r}")
+        return value
+
     p = argparse.ArgumentParser(prog="contile", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
@@ -168,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("matrix")
     pf.add_argument("-k", type=int, required=True, help="number of factors")
     pf.add_argument("--variant", choices=VARIANTS, default="plain")
-    pf.add_argument("--seeds", default="all", help="'all' or 'sample:FRACTION'")
+    pf.add_argument("--seeds", type=fraction, default="all", help="'all' or 'sample:FRACTION'")
     pf.add_argument("--rng", type=seed, default=0)
     pf.add_argument("--format", choices=("dense", "sparse"), default=None)
     pf.add_argument("-o", "--output", default=None, help="also write the report here")

@@ -138,15 +138,17 @@ class StepState(Variant):
 
 def step_weights(state: StepState, fixed, side: int = 1) -> np.ndarray:
     """Weights of `side`'s elements for a tile on the `fixed` set of the other
-    side: the int32 sum of the strip over `fixed` (exact: |weight| <= 2n),
-    uncovered ones minus uncovered zeros (and in the symmetric variants those
-    of the mirrored strip too, so a diagonal cell of the region counts twice).
-    A (count, size) array of equal-size fixed sets gives their count weight
-    rows from one gather."""
+    side: the sum of the strip over `fixed`, uncovered ones minus uncovered
+    zeros (and in the symmetric variants those of the mirrored strip too, so
+    a diagonal cell of the region counts twice).  |weight| <= 2n for the n
+    elements of the fixed side, so the sum is exact in int16 while
+    2n <= 32767 and in int32 past it.  A (count, size) array of equal-size
+    fixed sets gives their count weight rows from one gather."""
     fx = np.asarray(fixed, dtype=np.intp)
     if fx.shape[-1] == 0:
         raise ValueError("fixed set is empty")
-    return np.add.reduce(state.strips[side][fx], axis=-2, dtype=np.int32)
+    strip = state.strips[side]
+    return np.add.reduce(strip[fx], axis=-2, dtype=np.int16 if 2 * len(strip) <= 32767 else np.int32)
 
 
 # -- alternation ------------------------------------------------------------
@@ -161,24 +163,28 @@ def _overlap(strip, rows, cols) -> int:
 
 def _half_steps(state: StepState, memo: dict, fixed: list[tuple[int, ...]], side: int) -> list:
     """The picked set of `side` and its gain for each set in `fixed`; the
-    ones `memo` lacks are evaluated, each once, in blocks of `block_rows`
-    sets, so a DP call's counters fit `optset.BLOCK_BYTES`; one row per set."""
-    tree = state.trees[side]
+    ones `memo` lacks are evaluated, each once and smallest first (a DP
+    row's answer ignores the others), in blocks of `block_rows` sets, so a
+    pick's traced peak fits `optset.BLOCK_BYTES`.  The blocks are sized for
+    int64 counters unless the largest set's key bound, at most
+    |fixed| * max|strip| * n * (2n + 1) + n, proves int32."""
+    tree, n = state.trees[side], state.trees[side].n
     keys = [(tree, fx) for fx in fixed]
-    todo = list(dict.fromkeys(key for key in keys if key not in memo))
-    size = block_rows(tree)
+    todo = sorted(dict.fromkeys(key for key in keys if key not in memo), key=lambda key: len(key[1]))
+    bound = len(todo[-1][1] if todo else ()) * (1 + state.symmetric) * n * (2 * n + 1) + n
+    size = block_rows(tree, 4 if bound <= 2**27 else 8)
     for i in range(0, len(todo), size):
-        block = sorted(todo[i : i + size], key=lambda key: len(key[1]))  # a DP row's answer ignores the others
+        block = todo[i : i + size]
         memo.update(zip(block, state.pick(tree, _block_weights(state, [fx for _, fx in block], side))))
     return [memo[key] for key in keys]
 
 
 def _block_weights(state: StepState, fixed: list[tuple[int, ...]], side: int) -> np.ndarray:
     """The weight rows of `fixed`, sorted by size: one gather per size, split
-    where its int8 gather would not fit `optset.BLOCK_BYTES`."""
+    where its int8 gather and intp indices would not fit `optset.BLOCK_BYTES`."""
     parts = []
     for k, group in groupby(fixed, key=len):
-        sets, per = list(group), max(1, optset.BLOCK_BYTES // (k * state.trees[side].n))
+        sets, per = list(group), max(1, optset.BLOCK_BYTES // (k * (state.trees[side].n + 8)))
         parts += [step_weights(state, sets[j : j + per], side) for j in range(0, len(sets), per)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

@@ -51,6 +51,11 @@ holding NEG, at most NEG + bound, stays below every real key.
 
 `best_cyclic_sets` adds the wrap-around sets, complements of best sets for
 -w, in a second pass over just the rows where they can still win.
+
+`BLOCK_BYTES` bounds all that one pick holds at its traced peak: the weight
+rows and their negation, counters, tags, marks, mask and the widest group's
+gathers.  `block_rows` counts it per row from the group shapes, at either
+width, for callers to size their blocks by.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ import numpy as np
 
 from .pqtree import PNODE, PQTree
 
-BLOCK_BYTES = 384 * 1024  # bound on one call's three 4-byte counters per node and weight row (twice it at int64)
+BLOCK_BYTES = 5 * 2**19  # 2.5 MiB: bound on the traced peak of one pick, at either width (`block_rows`)
 EMPTY = -1  # inner_tag of an empty inner set
 
 # what `_extract` takes of a node's subtree
@@ -87,10 +92,15 @@ class Counters:
     ops: int = 0
 
 
-def block_rows(tree: PQTree) -> int:
-    """Weight rows per `compute_counters` call on `tree` whose int32 counters
-    fit `BLOCK_BYTES`: 12 bytes per node (and the sentinel) and row; at least 1."""
-    return max(1, BLOCK_BYTES // (12 * (len(tree.kind) + 1)))
+def block_rows(tree: PQTree, itemsize: int = 4) -> int:
+    """Weight rows per pick on `tree` within `BLOCK_BYTES`, for counters of
+    `itemsize` bytes (4 or 8); at least 1.  Per row: three counters and two
+    mark bytes per node and the sentinel, three intp tags per internal node,
+    9 bytes per element (w and -w at int32, the mask), and per cell of the
+    widest group's children two counters (P) or ten and an intp (Q)."""
+    widest = max((cs.size * (2 * itemsize if kind == PNODE else 10 * itemsize + 8) for kind, _, cs in tree.compiled()), default=0)
+    per_row = (3 * itemsize + 2) * (len(tree.kind) + 1) + 24 * (len(tree.kind) - tree.n) + 9 * tree.n + widest
+    return max(1, BLOCK_BYTES // per_row)
 
 
 def compute_counters(tree: PQTree, w) -> Counters:
@@ -223,10 +233,15 @@ def _answers(mask: np.ndarray, gains: np.ndarray) -> list[tuple[tuple[int, ...],
     return list(zip((tuple(row.nonzero()[0].tolist()) for row in mask), gains.tolist()))
 
 
+def _solve(tree: PQTree, w) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best set, an S x n mask, and its gain; the counters are freed on return."""
+    c = compute_counters(tree, w)
+    return _extract(tree, c.total > 0, c.tags), split(c.inner[tree.root], c.scale)[0]
+
+
 def best_compatible_sets(tree: PQTree, w) -> list[tuple[tuple[int, ...], int]]:
     """Best tree-compatible set and its total weight for each row of the block `w`."""
-    c = compute_counters(tree, w)
-    return _answers(_extract(tree, c.total > 0, c.tags), split(c.inner[tree.root], c.scale)[0])
+    return _answers(*_solve(tree, w))
 
 
 def best_cyclic_sets(tree: PQTree, w) -> list[tuple[tuple[int, ...], int]]:
@@ -238,9 +253,7 @@ def best_cyclic_sets(tree: PQTree, w) -> list[tuple[tuple[int, ...], int]]:
     their straight gain, and takes the complement where strictly heavier.
     """
     w = np.asarray(w)
-    c = compute_counters(tree, w)
-    gains = split(c.inner[tree.root], c.scale)[0]
-    mask = _extract(tree, c.total > 0, c.tags)
+    mask, gains = _solve(tree, w)
     need = np.flatnonzero(np.maximum(w, 0).sum(axis=1, dtype=np.int64) > gains)
     if need.size:
         c = compute_counters(tree, -w[need])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,23 +126,14 @@ def scalar_counters(tree: PQTree, w: Sequence[int]) -> ScalarCounters:
     if w_arr.shape != (n,):
         raise ValueError(f"weight vector length {w_arr.shape} != universe {n}")
     scale = 2 * n + 1
-
-    buf = np.zeros(len(tree.kind), dtype=np.int64)
-    buf[:n] = w_arr * scale - 1
-    total = buf.tolist()
-    border = buf.tolist()
-    buf[:n] = np.where(w_arr > 0, w_arr * scale - 1, 0)
-    inner = buf.tolist()
-
+    keys, pad = (w_arr * scale - 1).tolist(), [0] * (len(tree.kind) - n)  # a leaf's keys; 0 until a node is visited
+    total, border, inner = keys + pad, keys + pad, [max(key, 0) for key in keys] + pad
     border_tag: dict[int, tuple] = {}
     inner_tag: dict[int, tuple] = {}
-    kinds = tree.kind
-    children = tree.children
 
     for v in tree.internal:
-        cs = children[v]
-        l = len(cs)
-        if kinds[v] == PNODE:
+        cs = tree.children[v]
+        if tree.kind[v] == PNODE:
             tot = base = 0
             g1 = x1 = None  # top-2 g values: the border child, and inner's run ends
             g2 = x2 = None
@@ -182,12 +173,8 @@ def scalar_counters(tree: PQTree, w: Sequence[int]) -> ScalarCounters:
             continue
 
         # Q-node
-        pref = [0] * (l + 1)
-        acc = 0
-        for i, x in enumerate(cs):
-            acc += total[x]
-            pref[i + 1] = acc
-        total[v] = acc
+        pref = [0, *accumulate(total[x] for x in cs)]
+        acc = total[v] = pref[-1]
 
         bg = btag = None
         ig, itag = 0, ("empty",)
@@ -272,8 +259,8 @@ def scalar_cyclic_set(tree: PQTree, w: Sequence[int]) -> tuple[tuple[int, ...], 
 
 def batched_mismatch(tree: PQTree, w: np.ndarray) -> str | None:
     """Where the batched kernel and pickers differ from the scalar DP on the
-    rows of `w`: per-node counters (for w and -w), sets and gains."""
-    w = np.asarray(w, dtype=np.int64)
+    rows of `w`, in its own dtype: per-node counters (for w and -w), sets and gains."""
+    w = np.asarray(w)
     both = np.concatenate([w, -w])
     c = compute_counters(tree, both)
     for r, row in enumerate(both):
@@ -326,7 +313,8 @@ def check_orders(rng: random.Random, cases: int) -> str | None:
 def check_optset(rng: random.Random, cases: int) -> str | None:
     """The scalar DP's best compatible set and border counter agree with brute
     force on trees of n <= 8, and the batched kernel agrees with the scalar DP
-    on trees of n <= 30, a quarter of the blocks past the int32 key bound."""
+    on trees of n <= 30: int16 blocks, as `step_weights` makes them, and a
+    quarter int64 blocks past the int32 key bound."""
     for _ in range(cases):
         n = rng.randint(2, 8)
         tree = PQTree(n)
@@ -351,7 +339,8 @@ def check_optset(rng: random.Random, cases: int) -> str | None:
             tree.reduce(order[i : rng.randint(i + 1, n)])
         weights = rng.choice(((-1, 0, 0, 1), range(-5, 6)))
         rows = [[rng.choice(weights) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-        block = np.array([rng.choice(rows) for _ in range(rng.randint(1, 6))]) << (27 if rng.random() < 0.25 else 0)
+        block = np.array([rng.choice(rows) for _ in range(rng.randint(1, 6))])
+        block = block << 27 if rng.random() < 0.25 else block.astype(np.int16)
         bad = batched_mismatch(tree, block)
         if bad is not None:
             return f"optset: tree={tree.to_string()} w={block.tolist()}: {bad}"

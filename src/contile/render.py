@@ -16,16 +16,7 @@ import numpy as np
 from .bitmat import BinaryMatrix, positions, reconstruct, run_under
 
 # fixed qualitative palette, cycled by factor index
-PALETTE = (
-    "#1f77b4",
-    "#ff7f0e",
-    "#2ca02c",
-    "#d62728",
-    "#9467bd",
-    "#8c564b",
-    "#e377c2",
-    "#7f7f7f",
-)
+PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 RADIUS = 240.0  # circle radius (circular layout)
 LENGTH = 720.0  # baseline length (linear layout)
 MARGIN = 60.0
@@ -108,9 +99,7 @@ def render_circular(f, spec: RenderSpec = RenderSpec()) -> str:
 
     def arc_span(start_pos: int, length: int) -> tuple[float, float]:
         pad = 0.4 * step
-        a0 = theta0 + start_pos * step - pad
-        a1 = theta0 + (start_pos + length - 1) * step + pad
-        return a0, a1
+        return theta0 + start_pos * step - pad, theta0 + (start_pos + length - 1) * step + pad
 
     body = [f'<g id="ribbons" fill-opacity="{spec.opacity:.2f}">']
     pos, allow_wrap = positions(order), f.cyclic

@@ -115,9 +115,12 @@ class TestFactorize:
         code, stdout, _ = run(capsys, "factorize", str(blocks_file), "-k", "3", "-o", str(out))
         assert code == 0 and out.read_text() == stdout
 
-    def test_bad_seeds_spec(self, blocks_file, capsys):
-        code, _, err = run(capsys, "factorize", str(blocks_file), "-k", "1", "--seeds", "few")
-        assert code == 2
+    @pytest.mark.parametrize("spec", ["sample:x", "sample:", "sample:0", "sample:1.5", "sample:nan", "bogus"])
+    def test_bad_seeds_spec(self, tmp_path, capsys, spec):
+        with pytest.raises(SystemExit) as exc:  # by argparse, before the (missing) matrix is read
+            main(["factorize", str(tmp_path / "missing.spm"), "-k", "1", "--seeds", spec])
+        assert exc.value.code == 2
+        assert f"argument --seeds: must be 'all' or 'sample:FRACTION' with FRACTION in (0, 1], got {spec!r}" in capsys.readouterr().err
 
     def test_same_report_from_each_file_form(self, tmp_path, capsys):
         # one noisy matrix as an LF .spm, a CRLF .spm and a CRLF .dns

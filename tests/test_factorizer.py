@@ -84,11 +84,11 @@ class TestStepWeights:
             assert step_weights(st, fixed, side).tolist() == strip[fixed].sum(axis=0).tolist(), (dense.tolist(), cover.tolist())
 
     def test_a_block_of_one_large_size_is_gathered_in_parts(self, monkeypatch):
-        # a DP block of 200-node fixed sets on the 255-node benchmark input: gathered at once, 6.5 MB of int8
+        # a DP block of 200-node fixed sets on the 255-node benchmark input: gathered at once, 16.8 MB of int8
         state = StepState.initial(flip_noise(gen_blocks(BlockSpec(10, 30, 5)), 0.1, 1), "cyclic-sym")
         rng = random.Random(4)
         fixed = [tuple(sorted(rng.sample(range(255), 200))) for _ in range(optset.block_rows(state.trees[1]))]
-        assert len(fixed) * 200 * 255 > 10 * optset.BLOCK_BYTES
+        assert len(fixed) * 200 * 255 > 5 * optset.BLOCK_BYTES
         gather, peaks = factorizer.step_weights, []
 
         def traced(st, sets, side=1):
@@ -98,10 +98,18 @@ class TestStepWeights:
         monkeypatch.setattr(factorizer, "step_weights", traced)
         found = _half_steps(state, {}, fixed, 1)
         assert sum(count for count, _ in peaks) == len(fixed) and min(count for count, _ in peaks[:-1]) > 1
-        # beside the int8 gather, a call holds the int32 rows it returns, its indices and numpy's casting buffer
+        # beside the int8 gather, a call holds the int16 rows it returns, its indices and numpy's casting buffer
         assert max(peak for _, peak in peaks) <= optset.BLOCK_BYTES + 64 * 1024, peaks
         monkeypatch.setattr(factorizer, "step_weights", gather)
         assert found == [_half_steps(state, {}, [fx], 1)[0] for fx in fixed]
+
+    @pytest.mark.parametrize("n,dtype", [(16383, np.int16), (16384, np.int32)])
+    def test_weight_width(self, n, dtype):
+        # int16 while |weight| <= 2n fits; the n x 3 strips are broadcast views, nothing n-sized is allocated
+        strip = np.broadcast_to(np.int8(-2), (n, 3))
+        state = StepState("sym", (PQTree(3), PQTree(3)), (strip, strip))
+        w = step_weights(state, [range(n)], 0)
+        assert w.dtype == dtype and w.tolist() == [[-2 * n] * 3]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_strip_layout(self, variant):
@@ -319,7 +327,7 @@ class TestFactorize:
         monkeypatch.setattr(optset, "BLOCK_BYTES", 1)  # one weight row per DP call
         assert optset.block_rows(PQTree(d.n_rows)) == 1
         assert format_report(factorize(d, 5, variant)) == report
-        monkeypatch.setattr(optset, "BLOCK_BYTES", 4 * 1024)  # a few rows per DP call, one size in several gathers
+        monkeypatch.setattr(optset, "BLOCK_BYTES", 13 * 512)  # 2 or 3 rows per DP call, one size in several gathers
         gathers[:] = [[]]
         assert 1 < optset.block_rows(PQTree(d.n_rows)) < 8
         assert format_report(factorize(d, 5, variant)) == report

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contile import optset, oracle
-from contile.factorizer import StepState, _half_steps
+from contile.factorizer import StepState, _block_weights, _half_steps, step_weights
 from contile.optset import best_compatible_sets, best_cyclic_sets, compute_counters, split
 from contile.oracle import brute_compatible_sets
 from contile.pqtree import PNODE, QNODE, PQTree
@@ -210,7 +210,7 @@ class TestBatchedEqualsScalar:
             with_q += QNODE in t.kind
             q_groups += any(kind == QNODE and len(nodes) >= 2 for kind, nodes, _ in t.compiled())
             distinct = [[rng.choice(weights) for _ in range(n)] for _ in range(rng.randint(1, 40))]
-            w = np.array([rng.choice(distinct) for _ in range(rng.randint(1, 40))])  # duplicates
+            w = np.array([rng.choice(distinct) for _ in range(rng.randint(1, 40))], dtype=np.int16)  # duplicates, at the width of `step_weights`
             assert oracle.batched_mismatch(t, w) is None, (t.to_string(), w.tolist())
         assert with_q >= 60 and q_groups >= 10
 
@@ -261,28 +261,57 @@ class TestBatchedEqualsScalar:
 
 
 class TestBlockMemory:
-    def test_first_round_cyclic_pick_is_blocked(self, monkeypatch):
+    """What one pick holds at its traced peak, its weight rows included, stays
+    within `BLOCK_BYTES` plus SLACK (numpy's buffers and the answers' Python
+    objects) at the block size `block_rows` gives, at both counter widths."""
+
+    SLACK = 64 * 1024
+
+    def held(self, state, tree, w):
+        tree.compiled()  # built once per tree, not per pick
+        return peak_bytes(lambda: state.pick(tree, w)) + w.nbytes
+
+    def test_first_round_block_is_one_call(self, monkeypatch):
         # the 255 x 255 cyclic-sym benchmark input (seed 1) in its first round:
-        # 255 singleton fixed columns, one weight row each
-        d = flip_noise(gen_blocks(BlockSpec(10, 30, 5)), 0.1, 1)
-        state = StepState.initial(d, "cyclic-sym")
+        # 255 singleton fixed columns on one P-node over all 255 leaves
+        state = StepState.initial(flip_noise(gen_blocks(BlockSpec(10, 30, 5)), 0.1, 1), "cyclic-sym")
         fixed = [(j,) for j in range(255)]
-
-        def pick():
-            assert len(_half_steps(state, {}, fixed, 0)) == 255
-
         calls = []
         kernel = optset.compute_counters
         monkeypatch.setattr(optset, "compute_counters", lambda tree, w: calls.append(len(w)) or kernel(tree, w))
-        blocked = peak_bytes(pick)
-        assert blocked < 2 * 1000 * 1000
-        rows = optset.block_rows(state.trees[0])
-        assert rows == 127 and len(calls) == 3 and sum(calls) == 255  # no -w pass on the one P-node
-        monkeypatch.setattr(optset, "BLOCK_BYTES", optset.BLOCK_BYTES // rows * len(fixed))  # bytes per row, 255 rows
-        assert optset.block_rows(state.trees[0]) >= len(fixed)
-        calls.clear()
-        assert peak_bytes(pick) >= 1.5 * blocked  # one unblocked call holds more at once
-        assert calls == [255]
+        assert len(_half_steps(state, {}, fixed, 0)) == 255
+        assert calls == [255]  # one call, and no -w pass on the one P-node
+        assert optset.block_rows(state.trees[0]) >= 255
+        assert self.held(state, state.trees[0], step_weights(state, fixed, 0)) <= optset.BLOCK_BYTES + self.SLACK
+
+    def test_a_wide_q_group_fits(self):
+        # the same input's node tree reduced to one Q-node over all 255 leaves:
+        # a full block of singleton rows, through the cyclic picker's -w pass
+        state = StepState.initial(flip_noise(gen_blocks(BlockSpec(10, 30, 5)), 0.1, 1), "cyclic-sym")
+        tree = state.trees[0]
+        for i in range(254):
+            assert tree.reduce((i, i + 1))
+        ((kind, nodes, cs),) = tree.compiled()
+        assert kind == QNODE and cs.shape == (1, 255)
+        w = step_weights(state, [(j,) for j in range(optset.block_rows(tree))], 0)
+        assert compute_counters(tree, w).total.dtype == np.int32
+        assert self.held(state, tree, w) <= optset.BLOCK_BYTES + self.SLACK
+
+    def test_a_block_past_the_int32_bound_fits_at_int64(self, monkeypatch):
+        # 1005 x 1005 plain: 200-row fixed sets push the key bound past 2**27,
+        # so the half-step's blocks are sized for int64 counters
+        state = StepState.initial(flip_noise(gen_blocks(BlockSpec(40, 30, 5)), 0.1, 1), "plain")
+        tree, rng = state.trees[1], random.Random(5)
+        rows = optset.block_rows(tree, 8)
+        assert rows < optset.block_rows(tree) and optset.block_rows(tree.copy(), 8) == rows  # a function of the tree and the width
+        fixed = sorted(tuple(sorted(rng.sample(range(1005), 200))) for _ in range(rows + 1))
+        calls = []
+        kernel = optset.compute_counters
+        monkeypatch.setattr(optset, "compute_counters", lambda tree, w: calls.append(len(w)) or kernel(tree, w))
+        assert len(_half_steps(state, {}, fixed, 1)) == rows + 1 and calls == [rows, 1]
+        w = _block_weights(state, fixed[:rows], 1)
+        assert kernel(tree, w[:1]).total.dtype == np.int64
+        assert self.held(state, tree, w) <= optset.BLOCK_BYTES + self.SLACK
 
 
 class TestInvariants:
