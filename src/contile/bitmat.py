@@ -150,6 +150,17 @@ _CLASS = np.full(256, 3, dtype=np.uint8)  # byte classes of `_parsed`; 3: none o
 _CLASS[list(b" \t\r\x0b\x0c")], _CLASS[list(b"0123456789")], _CLASS[ord("\n")] = 0, 1, 2
 
 
+def integers(tokens: Sequence[str], line: int, message: str = "") -> tuple[int, ...]:
+    """The tokens as ints when each is ASCII digits after an optional "-", else
+    a FormatError at `line`: `message`, or one quoting the tokens."""
+    if all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # more digits than int() converts
+            pass
+    raise FormatError(message or f"expected integers, got {' '.join(tokens)!r}", line)
+
+
 def _checked_pair(line: str, lineno: int, shape: tuple[int, int] | None) -> tuple[int, int] | None:
     """The two integers on one line, or None for a blank line: the header's
     (n, m) while `shape` is None, else a cell (i, j) inside `shape`."""
@@ -157,10 +168,7 @@ def _checked_pair(line: str, lineno: int, shape: tuple[int, int] | None) -> tupl
         return None
     if len(parts) != 2:
         raise FormatError("header must be 'n m'" if shape is None else "cell line must be 'i j'", lineno)
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormatError("header must contain two integers" if shape is None else "cell indices must be integers", lineno) from None
+    a, b = integers(parts, lineno, "header must contain two integers" if shape is None else "cell indices must be integers")
     if shape is None and (a < 0 or b < 0):
         raise FormatError("negative dimensions", lineno)
     if shape is None and max(a, b) >= 2**63:  # past numpy's index range: no cell could be stored

@@ -83,27 +83,23 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.labels and args.layout == "heatmap":
-        raise ValueError("heatmap layout takes no --labels")
+    if (args.labels or args.opacity is not None) and args.layout == "heatmap":
+        raise ValueError("heatmap layout takes no --labels or --opacity: it draws no nodes or ribbons")
     if (args.matrix or args.format) and args.layout != "heatmap":
         raise ValueError(f"{args.layout} layout takes no --matrix or --format: it draws the factors only")
     with open(args.factors, "r", encoding="utf-8") as fh:
         f = parse_report(fh.read())
+    if args.layout == "heatmap":
+        if not args.matrix:
+            raise ValueError("heatmap layout needs --matrix")
+        _write_text(render_heatmap(_read_matrix(args.matrix, args.format), f), args.output)
+        return 0
     labels = None
     if args.labels:
         with open(args.labels, "r", encoding="utf-8") as fh:
             labels = tuple(line.rstrip("\n") for line in fh if line.rstrip("\n"))
-    spec = RenderSpec(labels=labels, opacity=args.opacity)
-    if args.layout == "circular":
-        text = render_circular(f, spec)
-    elif args.layout == "linear":
-        text = render_linear(f, spec)
-    else:
-        if not args.matrix:
-            raise ValueError("heatmap layout needs --matrix")
-        d = _read_matrix(args.matrix, args.format)
-        text = render_heatmap(d, f, spec)
-    _write_text(text, args.output)
+    spec = RenderSpec(labels) if args.opacity is None else RenderSpec(labels, args.opacity)
+    _write_text((render_circular if args.layout == "circular" else render_linear)(f, spec), args.output)
     return 0
 
 
@@ -189,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--layout", choices=("circular", "linear", "heatmap"), default="circular")
     pv.add_argument("--matrix", default=None, help="data matrix (heatmap layout only)")
     pv.add_argument("--labels", default=None, help="file with one node name per line")
-    pv.add_argument("--opacity", type=float, default=0.35)
+    pv.add_argument("--opacity", type=float, default=None, help="ribbon opacity (circular and linear layouts)")
     pv.add_argument("--format", choices=("dense", "sparse"), default=None)
     pv.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
     pv.set_defaults(func=cmd_render)

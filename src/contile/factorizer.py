@@ -21,7 +21,8 @@ pure function of its side and its fixed set.  The seeds run in lockstep
 (`_lockstep`) over one memo per round, keyed by the tree picked on and the
 fixed set (the symmetric variants' row and column steps share a key); the
 sets it lacks are weighed one set size at a time into blocks of
-`optset.block_rows`, one batched tree DP per block, so each seed's final
+`optset.block_rows`, a function of the tree alone (the DP picks its
+counters' width itself), one batched tree DP per block, so each seed's final
 pair is that of running it alone.  `alternate_seeds` keeps only the round's
 winner: it finishes each distinct symmetric pair at most once, and repairs
 one only while its bound can reach the best exact gain.
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitmat import BinaryMatrix, FormatError, hamming_error, positions, reconstruct, run_under
+from .bitmat import BinaryMatrix, FormatError, hamming_error, integers, positions, reconstruct, run_under
 from . import optset
 from .optset import best_compatible_sets, best_cyclic_sets, block_rows
 from .pqtree import PQTree
@@ -165,14 +166,11 @@ def _half_steps(state: StepState, memo: dict, fixed: list[tuple[int, ...]], side
     """The picked set of `side` and its gain for each set in `fixed`; the
     ones `memo` lacks are evaluated, each once and smallest first (a DP
     row's answer ignores the others), in blocks of `block_rows` sets, so a
-    pick's traced peak fits `optset.BLOCK_BYTES`.  The blocks are sized for
-    int64 counters unless the largest set's key bound, at most
-    |fixed| * max|strip| * n * (2n + 1) + n, proves int32."""
-    tree, n = state.trees[side], state.trees[side].n
+    pick's traced peak fits `optset.BLOCK_BYTES` at either counter width."""
+    tree = state.trees[side]
     keys = [(tree, fx) for fx in fixed]
     todo = sorted(dict.fromkeys(key for key in keys if key not in memo), key=lambda key: len(key[1]))
-    bound = len(todo[-1][1] if todo else ()) * (1 + state.symmetric) * n * (2 * n + 1) + n
-    size = block_rows(tree, 4 if bound <= 2**27 else 8)
+    size = block_rows(tree)
     for i in range(0, len(todo), size):
         block = todo[i : i + size]
         memo.update(zip(block, state.pick(tree, _block_weights(state, [fx for _, fx in block], side))))
@@ -368,13 +366,6 @@ def format_report(f: Factorization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(tokens: Sequence[str], line: int) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in tokens)
-    except ValueError:
-        raise FormatError(f"expected integers, got {' '.join(tokens)!r}", line) from None
-
-
 def parse_report(text: str) -> Factorization:
     """Read a report written by `format_report`.
 
@@ -408,13 +399,13 @@ def parse_report(text: str) -> Factorization:
     parts = toks[0].split("/") if len(toks) == 1 else []
     if len(parts) != 2:
         raise FormatError("expected 'RANK <used>/<requested>'", no)
-    used, requested = _ints(parts, no)
+    used, requested = integers(parts, no)
     if requested < 1 or not 0 <= used <= requested:
         raise FormatError(f"RANK {used}/{requested} needs 0 <= used <= requested and requested >= 1", no)
     no, toks = fields(2, "ERROR")
     if len(toks) != 3 or toks[1] != "RELERR":
         raise FormatError("expected 'ERROR <cells> RELERR <ratio>'", no)
-    (error,) = _ints(toks[:1], no)
+    (error,) = integers(toks[:1], no)
     if error < 0:
         raise FormatError(f"ERROR is negative: {error}", no)
     try:
@@ -428,7 +419,7 @@ def parse_report(text: str) -> Factorization:
     orders = []
     for i, key in enumerate(keys, start=3):
         no, toks = fields(i, key)
-        order = _ints(toks, no)
+        order = integers(toks, no)
         if sorted(order) != list(range(len(order))):
             raise FormatError(f"{key} is not a permutation of 0..{len(order) - 1}", no)
         orders.append((order, positions(order)))
@@ -438,12 +429,12 @@ def parse_report(text: str) -> Factorization:
     for no, toks in lines[3 + len(keys) :]:
         if len(toks) < 3 or toks[0] != "FACTOR" or toks[2] != "ROWS" or "COLS" not in toks:
             raise FormatError("expected 'FACTOR <t> ROWS <rows> COLS <cols>'", no)
-        if _ints(toks[1:2], no) != (len(factors),):
+        if integers(toks[1:2], no) != (len(factors),):
             raise FormatError(f"expected factor number {len(factors)}, got {toks[1]}", no)
         split_at = toks.index("COLS")
         tile = []
         for side, pos in ((toks[3:split_at], row_pos), (toks[split_at + 1 :], col_pos)):
-            members = tuple(sorted(set(_ints(side, no))))
+            members = tuple(sorted(set(integers(side, no))))
             if not members:
                 raise FormatError("factor has an empty side", no)
             if members[0] < 0 or members[-1] >= len(pos):

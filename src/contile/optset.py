@@ -54,8 +54,8 @@ holding NEG, at most NEG + bound, stays below every real key.
 
 `BLOCK_BYTES` bounds all that one pick holds at its traced peak: the weight
 rows and their negation, counters, tags, marks, mask and the widest group's
-gathers.  `block_rows` counts it per row from the group shapes, at either
-width, for callers to size their blocks by.
+gathers.  `block_rows` counts it per row from the tree's group shapes alone,
+at int64, for callers to size their blocks by; an int32 pick holds about half.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import numpy as np
 
 from .pqtree import PNODE, PQTree
 
-BLOCK_BYTES = 5 * 2**19  # 2.5 MiB: bound on the traced peak of one pick, at either width (`block_rows`)
+BLOCK_BYTES = 9 * 2**19  # 4.5 MiB: bound on the traced peak of one pick, counted at int64 (`block_rows`)
 EMPTY = -1  # inner_tag of an empty inner set
 
 # what `_extract` takes of a node's subtree
@@ -92,14 +92,14 @@ class Counters:
     ops: int = 0
 
 
-def block_rows(tree: PQTree, itemsize: int = 4) -> int:
-    """Weight rows per pick on `tree` within `BLOCK_BYTES`, for counters of
-    `itemsize` bytes (4 or 8); at least 1.  Per row: three counters and two
-    mark bytes per node and the sentinel, three intp tags per internal node,
-    9 bytes per element (w and -w at int32, the mask), and per cell of the
-    widest group's children two counters (P) or ten and an intp (Q)."""
-    widest = max((cs.size * (2 * itemsize if kind == PNODE else 10 * itemsize + 8) for kind, _, cs in tree.compiled()), default=0)
-    per_row = (3 * itemsize + 2) * (len(tree.kind) + 1) + 24 * (len(tree.kind) - tree.n) + 9 * tree.n + widest
+def block_rows(tree: PQTree) -> int:
+    """Weight rows per pick on `tree` within `BLOCK_BYTES`, counted for int64
+    counters; at least 1.  Per row: three counters and two mark bytes per node
+    and the sentinel, three intp tags per internal node, 9 bytes per element
+    (w and -w at int32, the mask), and per cell of the widest group's children
+    two counters (P) or ten and an intp (Q).  An int32 pick holds about half."""
+    widest = max((cs.size * (16 if kind == PNODE else 88) for kind, _, cs in tree.compiled()), default=0)
+    per_row = 26 * (len(tree.kind) + 1) + 24 * (len(tree.kind) - tree.n) + 9 * tree.n + widest
     return max(1, BLOCK_BYTES // per_row)
 
 

@@ -222,7 +222,7 @@ def render_linear(f, spec: RenderSpec = RenderSpec()) -> str:
 # -- heatmap ------------------------------------------------------------------
 
 
-def render_heatmap(d: BinaryMatrix, f, spec: RenderSpec = RenderSpec()) -> str:
+def render_heatmap(d: BinaryMatrix, f) -> str:
     """The matrix permuted by the factorization's orders, with factor tiles
     outlined and disagreement cells tinted."""
     z = reconstruct(f)

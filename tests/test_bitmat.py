@@ -1,6 +1,7 @@
 import bisect
 import io
 import random
+import re
 from itertools import accumulate
 from unittest import mock
 
@@ -131,6 +132,21 @@ class TestLoadSparse:
         with pytest.raises(FormatError, match="line 1"):
             load_sparse("2\n0 0")
 
+    @pytest.mark.parametrize("text,message", [
+        ("1_0 3\n0 0\n", "^line 1: header must contain two integers"),
+        ("+3 3\n0 0\n", "^line 1: header must contain two integers"),
+        ("\uff13 3\n0 0\n", "^line 1: header must contain two integers"),
+        ("3 3\n\u0661 2\n", "^line 2: cell indices must be integers"),
+        ("3 3\n1 +2\n", "^line 2: cell indices must be integers"),
+        ("3 3\n0 0\n1_0 2\n", "^line 3: cell indices must be integers"),
+        ("3 3\n-1 2\n", "^line 2: index \\(-1, 2\\) out of range for 3x3"),
+        ("-3 3\n", "^line 1: negative dimensions"),
+    ])
+    def test_only_ascii_integers(self, text, message):
+        # int() alone would read "1_0" as 10, "+3" as 3 and the Arabic-Indic "\u0661" as 1
+        with pytest.raises(FormatError, match=message):
+            load_sparse(io.StringIO(text))
+
     @pytest.mark.parametrize(
         "text,line",
         [("2 2\r\n0 0\r\n\r\n2 0\r\n", 4), ("2\n0 0\n", 1), ("2 2\n0 x\n", 2), ("\n\n", 1)],
@@ -198,9 +214,17 @@ class TestLoadSparse:
         assert checked.call_count == 1  # the header only: "\r\n" stays on the numpy pass
 
 
+def reference_int(token):
+    """int(token) for an optional "-" and ASCII digits; ValueError for any other token ("1_0", "+1", "\u0663")."""
+    if not re.fullmatch(r"-?[0-9]+", token, re.ASCII):
+        raise ValueError(token)
+    return int(token)
+
+
 def reference_load_sparse(text):
     """The line-by-line loop `load_sparse` ran before its chunked parse: the
-    oracle for the differential tests below."""
+    oracle for the differential tests below.  Tokens are integers by
+    `reference_int`'s rule."""
     shape, cells = None, []
     for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):  # lines end at \n, \r\n and \r
         parts = line.split()
@@ -210,7 +234,7 @@ def reference_load_sparse(text):
             if len(parts) != 2:
                 raise FormatError("header must be 'n m'", lineno)
             try:
-                n, m = shape = int(parts[0]), int(parts[1])
+                n, m = shape = reference_int(parts[0]), reference_int(parts[1])
             except ValueError:
                 raise FormatError("header must contain two integers", lineno) from None
             if n < 0 or m < 0:
@@ -219,7 +243,7 @@ def reference_load_sparse(text):
         if len(parts) != 2:
             raise FormatError("cell line must be 'i j'", lineno)
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = reference_int(parts[0]), reference_int(parts[1])
         except ValueError:
             raise FormatError("cell indices must be integers", lineno) from None
         if not (0 <= i < n and 0 <= j < m):
@@ -245,12 +269,13 @@ N = 12  # every text below declares a 12x12 matrix
 # Runs of lines that are each kept whole; the pair ("1", "2 3 4") has the
 # token count of two cells, but neither line is one.
 BLANK = [("",), ("  ",), ("\t",), ("\x1c",), ("\u3000",)]
-VALID = [("0 0",), (" 1\t2 ",), ("\u0663 1",), ("1\x1c0",), ("1_0 0",), ("+1 11",), ("0\u30000",), ("\uff11 \uff12",)]
+VALID = [("0 0",), (" 1\t2 ",), ("1\x1c0",), ("0\u30000",), ("-0 011",)]
 BAD = [
     ("1",), ("1 2 3",), ("0 0 1 1",), ("1", "2 3 4"), ("x 0",), ("1.0 0",), ("0x1 0",), ("1__0 0",),
     ("12 0",), ("0 12",), ("-1 0",), ("99999999999999999999 0",), ("0 -99999999999999999999",),
+    ("\u0663 1",), ("1_0 0",), ("+1 11",), ("\uff11 \uff12",), ("- 1",), ("1 --1",),
 ]
-HEADERS = [("12 12",), (" 12\t12 ",), ("12",), ("12 x",), ("-1 12",)]
+HEADERS = [("12 12",), (" 12\t12 ",), ("12",), ("12 x",), ("-1 12",), ("+12 12",), ("12 1_2",), ("\uff11\uff12 12",)]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 ENDINGS = st.sampled_from(LINE_ENDS)
 

@@ -8,6 +8,7 @@ import pytest
 import contile
 from contile import oracle
 from contile.cli import _write_text, main
+from contile.render import RenderSpec
 
 from conftest import peak_bytes
 
@@ -109,6 +110,13 @@ class TestFactorize:
         p.write_text(header + "\n")
         code, _, err = run(capsys, "factorize", str(p), "-k", "1")
         assert code == 2 and f"cannot factorize a {header.replace(' ', ' x ')} matrix" in err
+
+    @pytest.mark.parametrize("text", ["1_0 3\n0 0\n", "3 3\n\u0661 2\n", "3 3\n+1 2\n"])
+    def test_non_ascii_integers_rejected(self, tmp_path, capsys, text):
+        p = tmp_path / "m.spm"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "factorize", str(p), "-k", "1")
+        assert code == 2 and "integers" in err and out == ""
 
     def test_writes_factor_file(self, blocks_file, tmp_path, capsys):
         out = tmp_path / "f.txt"
@@ -228,6 +236,18 @@ class TestRender:
         code, _, err = run(capsys, "render", "--factors", str(factor_file), "--layout", "heatmap",
                            "--matrix", str(blocks_file), "--labels", str(labels), "-o", str(out))
         assert code == 2 and "labels" in err and not out.exists()
+
+    @pytest.mark.parametrize("opacity", ["0.35", "0.9"])
+    def test_heatmap_refuses_opacity(self, blocks_file, factor_file, tmp_path, capsys, opacity):
+        # the heatmap draws no ribbons, so an opacity would change nothing in its file
+        out = tmp_path / "heatmap.svg"
+        code, _, err = run(capsys, "render", "--factors", str(factor_file), "--layout", "heatmap",
+                           "--matrix", str(blocks_file), "--opacity", opacity, "-o", str(out))
+        assert code == 2 and "--opacity" in err and not out.exists()
+
+    def test_default_opacity(self, factor_file, capsys):
+        code, out, _ = run(capsys, "render", "--factors", str(factor_file))
+        assert code == 0 and f'fill-opacity="{RenderSpec().opacity:.2f}"' in out
 
     @pytest.mark.parametrize("layout", ["circular", "linear"])
     @pytest.mark.parametrize("extra", [["--matrix", "nonexistent.spm"], ["--format", "dense"]])

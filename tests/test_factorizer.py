@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -84,11 +85,11 @@ class TestStepWeights:
             assert step_weights(st, fixed, side).tolist() == strip[fixed].sum(axis=0).tolist(), (dense.tolist(), cover.tolist())
 
     def test_a_block_of_one_large_size_is_gathered_in_parts(self, monkeypatch):
-        # a DP block of 200-node fixed sets on the 255-node benchmark input: gathered at once, 16.8 MB of int8
+        # a DP block of 200-node fixed sets on the 255-node benchmark input: gathered at once, 18.4 MB of int8
         state = StepState.initial(flip_noise(gen_blocks(BlockSpec(10, 30, 5)), 0.1, 1), "cyclic-sym")
         rng = random.Random(4)
         fixed = [tuple(sorted(rng.sample(range(255), 200))) for _ in range(optset.block_rows(state.trees[1]))]
-        assert len(fixed) * 200 * 255 > 5 * optset.BLOCK_BYTES
+        assert len(fixed) * 200 * 255 > 3 * optset.BLOCK_BYTES
         gather, peaks = factorizer.step_weights, []
 
         def traced(st, sets, side=1):
@@ -324,15 +325,31 @@ class TestFactorize:
         report = format_report(factorize(d, 5, variant))
         counts = [[count for count, _ in block] for block in gathers]
         assert any(1 in block and max(block) > 1 for block in counts)  # a size of one set beside a size of many
+
         monkeypatch.setattr(optset, "BLOCK_BYTES", 1)  # one weight row per DP call
-        assert optset.block_rows(PQTree(d.n_rows)) == 1
-        assert format_report(factorize(d, 5, variant)) == report
-        monkeypatch.setattr(optset, "BLOCK_BYTES", 13 * 512)  # 2 or 3 rows per DP call, one size in several gathers
         gathers[:] = [[]]
-        assert 1 < optset.block_rows(PQTree(d.n_rows)) < 8
         assert format_report(factorize(d, 5, variant)) == report
-        sizes = [[size for _, size in block] for block in gathers]
-        assert any(len(set(block)) < len(block) for block in sizes)
+        assert max(sum(count for count, _ in block) for block in gathers) == 1
+
+        monkeypatch.setattr(optset, "BLOCK_BYTES", 2**62)  # the first tree's bytes per row, exact while rows outnumber them
+        per_row = 2**62 // optset.block_rows(PQTree(d.n_rows))
+        monkeypatch.setattr(optset, "BLOCK_BYTES", 3 * per_row)  # three rows per DP call on the first tree
+        assert optset.block_rows(PQTree(d.n_rows)) == 3
+        block_weights = factorizer._block_weights
+
+        def halved(st, sets, side):  # the block's commonest size gathered in parts, at half the bytes it takes at once
+            k, c = Counter(map(len, sets)).most_common(1)[0]
+            budget, optset.BLOCK_BYTES = optset.BLOCK_BYTES, c * k * (st.trees[side].n + 8) // 2
+            try:
+                return block_weights(st, sets, side)
+            finally:
+                optset.BLOCK_BYTES = budget
+
+        monkeypatch.setattr(factorizer, "_block_weights", halved)
+        gathers[:] = [[]]
+        assert format_report(factorize(d, 5, variant)) == report
+        assert max(sum(count for count, _ in block) for block in gathers) > 1  # several rows per DP call
+        assert any(len({k for _, k in block}) < len(block) for block in gathers)  # a size in several gathers
 
     def test_rank1_never_beats_brute_force(self, rng):
         gaps = []
@@ -745,6 +762,12 @@ class TestReport:
         (REPORT.replace("FACTOR 0", "FACTOR 1"), 6),
         (REPORT.replace("ROWS 0 1 COLS", "ROWS COLS"), 6),
         (REPORT.replace("COLS 0 1", "COLS"), 6),
+        (REPORT.replace("RANK 1/2", "RANK 1/1_0"), 2),  # only "-" and ASCII digits: int() would read 10
+        (REPORT.replace("RANK 1/2", "RANK +1/2"), 2),
+        (REPORT.replace("ERROR 3", "ERROR \u0663"), 3),
+        (REPORT.replace("ROW-ORDER 0 1 2", "ROW-ORDER 0 1 \uff12"), 4),
+        (REPORT.replace("FACTOR 0", "FACTOR 0_0"), 6),
+        (REPORT.replace("ROWS 0 1 COLS", "ROWS 0 +1 COLS"), 6),
     ]
 
     @pytest.mark.parametrize("text,line", MALFORMED)

@@ -263,13 +263,24 @@ class TestBatchedEqualsScalar:
 class TestBlockMemory:
     """What one pick holds at its traced peak, its weight rows included, stays
     within `BLOCK_BYTES` plus SLACK (numpy's buffers and the answers' Python
-    objects) at the block size `block_rows` gives, at both counter widths."""
+    objects) at the one block size `block_rows` gives a tree, at both counter
+    widths."""
 
     SLACK = 64 * 1024
 
     def held(self, state, tree, w):
         tree.compiled()  # built once per tree, not per pick
         return peak_bytes(lambda: state.pick(tree, w)) + w.nbytes
+
+    def assert_fits(self, state, tree, w):
+        # the block as the half-step weighs it, and its signs at the other width:
+        # times 2**20 the key bound passes 2**27 on these trees (n >= 255), times 1 it stays below
+        assert optset.block_rows(tree) == optset.block_rows(tree.copy())  # a function of the tree alone
+        wide = compute_counters(tree, w[:1]).total.dtype == np.int64
+        other = np.sign(w).astype(np.int32) * (1 if wide else 2**20)
+        assert compute_counters(tree, other[:1]).total.dtype == (np.int32 if wide else np.int64)
+        for block in (w, other):
+            assert self.held(state, tree, block) <= optset.BLOCK_BYTES + self.SLACK
 
     def test_first_round_block_is_one_call(self, monkeypatch):
         # the 255 x 255 cyclic-sym benchmark input (seed 1) in its first round:
@@ -281,8 +292,9 @@ class TestBlockMemory:
         monkeypatch.setattr(optset, "compute_counters", lambda tree, w: calls.append(len(w)) or kernel(tree, w))
         assert len(_half_steps(state, {}, fixed, 0)) == 255
         assert calls == [255]  # one call, and no -w pass on the one P-node
+        monkeypatch.setattr(optset, "compute_counters", kernel)
         assert optset.block_rows(state.trees[0]) >= 255
-        assert self.held(state, state.trees[0], step_weights(state, fixed, 0)) <= optset.BLOCK_BYTES + self.SLACK
+        self.assert_fits(state, state.trees[0], step_weights(state, fixed, 0))
 
     def test_a_wide_q_group_fits(self):
         # the same input's node tree reduced to one Q-node over all 255 leaves:
@@ -293,25 +305,22 @@ class TestBlockMemory:
             assert tree.reduce((i, i + 1))
         ((kind, nodes, cs),) = tree.compiled()
         assert kind == QNODE and cs.shape == (1, 255)
-        w = step_weights(state, [(j,) for j in range(optset.block_rows(tree))], 0)
-        assert compute_counters(tree, w).total.dtype == np.int32
-        assert self.held(state, tree, w) <= optset.BLOCK_BYTES + self.SLACK
+        self.assert_fits(state, tree, step_weights(state, [(j,) for j in range(optset.block_rows(tree))], 0))
 
     def test_a_block_past_the_int32_bound_fits_at_int64(self, monkeypatch):
-        # 1005 x 1005 plain: 200-row fixed sets push the key bound past 2**27,
-        # so the half-step's blocks are sized for int64 counters
+        # 1005 x 1005 plain: 200-row fixed sets push the key bound past 2**27
         state = StepState.initial(flip_noise(gen_blocks(BlockSpec(40, 30, 5)), 0.1, 1), "plain")
         tree, rng = state.trees[1], random.Random(5)
-        rows = optset.block_rows(tree, 8)
-        assert rows < optset.block_rows(tree) and optset.block_rows(tree.copy(), 8) == rows  # a function of the tree and the width
+        rows = optset.block_rows(tree)
         fixed = sorted(tuple(sorted(rng.sample(range(1005), 200))) for _ in range(rows + 1))
         calls = []
         kernel = optset.compute_counters
         monkeypatch.setattr(optset, "compute_counters", lambda tree, w: calls.append(len(w)) or kernel(tree, w))
         assert len(_half_steps(state, {}, fixed, 1)) == rows + 1 and calls == [rows, 1]
+        monkeypatch.setattr(optset, "compute_counters", kernel)
         w = _block_weights(state, fixed[:rows], 1)
         assert kernel(tree, w[:1]).total.dtype == np.int64
-        assert self.held(state, tree, w) <= optset.BLOCK_BYTES + self.SLACK
+        self.assert_fits(state, tree, w)
 
 
 class TestInvariants:
