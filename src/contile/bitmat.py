@@ -145,9 +145,11 @@ def dump_dense(m: BinaryMatrix) -> str:
     return text.tobytes().decode("ascii")
 
 
+_BLANKS = " \t\r\x0b\x0c"  # what separates the tokens of a sparse line; str.split knows more
+_TOKEN = re.compile(f"[^{_BLANKS}]+")
 _CLASS = np.full(256, 3, dtype=np.uint8)  # byte classes of `_parsed`; 3: none of the others
-# 0: a blank inside a line, to str.split; 1: a digit; 2: the line end
-_CLASS[list(b" \t\r\x0b\x0c")], _CLASS[list(b"0123456789")], _CLASS[ord("\n")] = 0, 1, 2
+# 0: one of the _BLANKS; 1: a digit; 2: the line end
+_CLASS[list(_BLANKS.encode())], _CLASS[list(b"0123456789")], _CLASS[ord("\n")] = 0, 1, 2
 
 
 def integers(tokens: Sequence[str], line: int, message: str = "") -> tuple[int, ...]:
@@ -164,7 +166,7 @@ def integers(tokens: Sequence[str], line: int, message: str = "") -> tuple[int, 
 def _checked_pair(line: str, lineno: int, shape: tuple[int, int] | None) -> tuple[int, int] | None:
     """The two integers on one line, or None for a blank line: the header's
     (n, m) while `shape` is None, else a cell (i, j) inside `shape`."""
-    if not (parts := line.split()):
+    if not (parts := _TOKEN.findall(line)):
         return None
     if len(parts) != 2:
         raise FormatError("header must be 'n m'" if shape is None else "cell line must be 'i j'", lineno)
@@ -212,7 +214,7 @@ def load_sparse(source: str | TextIO) -> BinaryMatrix:
     shape, rows, cols = None, array("q"), array("q")
     for block, first in _blocks(source):
         if shape is None:  # the header: the first line that is not blank
-            if not (rest := block.lstrip()):
+            if not (rest := block.lstrip(_BLANKS + "\n")):
                 continue
             header_at = first + block.count("\n", 0, len(block) - len(rest))
             line, _, block = rest.partition("\n")

@@ -130,7 +130,7 @@ def cmd_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # after the package's modules: compiled with argparse loaded, they raised peak RSS 0.3 MB
 
-    def seed(text: str) -> int:  # every --rng: numpy's Philox refuses a negative key without naming the option
+    def seed(text: str) -> int:  # every --rng: numpy's Philox and the seed sampler refuse a negative key, naming no option
         if (value := int(text)) < 0:
             raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
         return value

@@ -3,7 +3,8 @@ and uniform random matrices.
 
 All randomness flows through numpy's counter-based Philox generator keyed by
 an explicit seed, so outputs are reproducible regardless of call order or
-parallelism.
+parallelism. `factorizer.seeds_sample` draws from the same Philox stream
+without numpy.random, which a `contile factorize` process then never loads.
 """
 
 from __future__ import annotations

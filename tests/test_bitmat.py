@@ -224,10 +224,10 @@ def reference_int(token):
 def reference_load_sparse(text):
     """The line-by-line loop `load_sparse` ran before its chunked parse: the
     oracle for the differential tests below.  Tokens are integers by
-    `reference_int`'s rule."""
+    `reference_int`'s rule, between runs of space, tab, CR, VT and FF."""
     shape, cells = None, []
     for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):  # lines end at \n, \r\n and \r
-        parts = line.split()
+        parts = re.findall("[^ \t\r\x0b\x0c\n]+", line)  # the blanks of a sparse line, not all of str.split's
         if not parts:
             continue
         if shape is None:
@@ -268,14 +268,15 @@ def outcome(load, source):
 N = 12  # every text below declares a 12x12 matrix
 # Runs of lines that are each kept whole; the pair ("1", "2 3 4") has the
 # token count of two cells, but neither line is one.
-BLANK = [("",), ("  ",), ("\t",), ("\x1c",), ("\u3000",)]
-VALID = [("0 0",), (" 1\t2 ",), ("1\x1c0",), ("0\u30000",), ("-0 011",)]
+BLANK = [("",), ("  ",), ("\t",), ("\x0b\x0c",)]
+VALID = [("0 0",), (" 1\t2 ",), ("-0 011",)]
 BAD = [
     ("1",), ("1 2 3",), ("0 0 1 1",), ("1", "2 3 4"), ("x 0",), ("1.0 0",), ("0x1 0",), ("1__0 0",),
     ("12 0",), ("0 12",), ("-1 0",), ("99999999999999999999 0",), ("0 -99999999999999999999",),
     ("\u0663 1",), ("1_0 0",), ("+1 11",), ("\uff11 \uff12",), ("- 1",), ("1 --1",),
+    ("\x1c",), ("\u3000",), ("1\x1c0",), ("0\u30000",), ("1\x850",),  # blanks to str.split, not to the loader
 ]
-HEADERS = [("12 12",), (" 12\t12 ",), ("12",), ("12 x",), ("-1 12",), ("+12 12",), ("12 1_2",), ("\uff11\uff12 12",)]
+HEADERS = [("12 12",), (" 12\t12 ",), ("12",), ("12 x",), ("-1 12",), ("+12 12",), ("12 1_2",), ("\uff11\uff12 12",), ("12\x1f12",)]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 ENDINGS = st.sampled_from(LINE_ENDS)
 
@@ -379,8 +380,7 @@ class TestLoadSparseMatchesLineByLine:
 
     @pytest.mark.parametrize("line", [line for run in VALID[2:] for line in run])
     def test_other_valid_tokens_take_the_line_checks(self, spm_path, line):
-        # non-ASCII digits or blanks, signs and underscores: int() and str.split
-        # read them, the numpy pass leaves them to the line checks
+        # a sign: int() reads it, the numpy pass leaves it to the line checks
         text = "12 12\n" + "\n".join(valid_cells(1, 1100) + [line]) + "\n"
         with mock.patch.object(bitmat, "_checked_pair", wraps=bitmat._checked_pair) as checked:
             assert load_sparse(text) == reference_load_sparse(text)
@@ -400,6 +400,11 @@ class TestLoadSparseMatchesLineByLine:
             ("12 12\r\n0 0\r\n1 1", [(0, 0), (1, 1)]),
             ("12 12\n0 0\r1 1\n", [(0, 0), (1, 1)]),
             ("12 12\n0 0\r\n1\n2 3 4\n", "line 3: cell line must be 'i j'"),  # two lines, four tokens
+            ("12 12\n1\x1c0\n", "line 2: cell line must be 'i j'"),  # str.split's blanks are no blanks here
+            ("12 12\n1\x850\n", "line 2: cell line must be 'i j'"),
+            ("12 12\n1\u30000\n", "line 2: cell line must be 'i j'"),
+            ("12\x1f12\n1 0\n", "line 1: header must be 'n m'"),
+            ("\x1c\n12 12\n", "line 1: header must be 'n m'"),
         ],
     )
     def test_short_texts(self, spm_path, text, want):

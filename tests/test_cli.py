@@ -118,6 +118,13 @@ class TestFactorize:
         code, out, err = run(capsys, "factorize", str(p), "-k", "1")
         assert code == 2 and "integers" in err and out == ""
 
+    @pytest.mark.parametrize("text", ["3 3\n1\x1c0\n", "3 3\n1\x850\n", "3 3\n1\u30000\n", "3\x1f3\n1 0\n"])
+    def test_only_ascii_blanks_separate_tokens(self, tmp_path, capsys, text):
+        p = tmp_path / "m.spm"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "factorize", str(p), "-k", "1")
+        assert code == 2 and "must be" in err and out == ""
+
     def test_writes_factor_file(self, blocks_file, tmp_path, capsys):
         out = tmp_path / "f.txt"
         code, stdout, _ = run(capsys, "factorize", str(blocks_file), "-k", "3", "-o", str(out))

@@ -33,6 +33,25 @@ def test_names_load_their_modules_on_first_use():
     assert proc.stdout.splitlines() == ["[]", "True", "AttributeError"]
 
 
+def test_sampled_factorize_loads_no_numpy_random(tmp_path):
+    # the seed sample is drawn without numpy.random (and the secrets and
+    # OpenSSL modules that numpy 2 loads with it); numpy < 2 loads it with numpy
+    spm = tmp_path / "m.spm"
+    spm.write_text("4 4\n0 0\n0 1\n1 1\n2 2\n3 3\n3 0\n")
+    code = (
+        "import sys\n"
+        "from contile import cli\n"
+        "before = set(sys.modules)\n"
+        f"code = cli.main(['factorize', {str(spm)!r}, '-k', '2', '--seeds', 'sample:0.5', '--rng', '3', '-o', {str(tmp_path / 'f.txt')!r}])\n"
+        "print(code, sorted({'numpy.random', 'secrets'} & (set(sys.modules) - before)))\n"
+    )
+    src = str(Path(contile.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_names_the_benchmark_reads_resolve():
     # benchmarks/run.py calls these and wraps them for its trace; a name it
     # does not find is skipped without a word, so its loss shows only here
