@@ -249,11 +249,17 @@ def dump_sparse(m: BinaryMatrix) -> str:
 # -- reconstruction and error ----------------------------------------------
 
 
+HAMMING_CELLS = 1 << 16  # cells compared at once by `hamming_error`: 64 KB of `a != b`, never a matrix-sized one
+
+
 def hamming_error(a: BinaryMatrix, b: BinaryMatrix) -> int:
-    """Number of disagreeing cells."""
+    """Number of disagreeing cells, counted a block of rows at a time: at least
+    one row and otherwise at most `HAMMING_CELLS` cells, so the only array it
+    allocates is one block's `a != b`."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a.dense() != b.dense()))
+    x, y, step = a.dense(), b.dense(), max(1, HAMMING_CELLS // max(1, a.n_cols))
+    return sum(int(np.count_nonzero(x[i : i + step] != y[i : i + step])) for i in range(0, a.n_rows, step))
 
 
 def reconstruct(f) -> BinaryMatrix:

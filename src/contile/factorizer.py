@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .bitmat import BinaryMatrix, FormatError, hamming_error, integers, positions, reconstruct, run_under
+from .bitmat import _LINE_END, _TOKEN, BinaryMatrix, FormatError, hamming_error, integers, positions, reconstruct, run_under
 from . import optset
 from .optset import best_compatible_sets, best_cyclic_sets, block_rows
 from .pqtree import PQTree
@@ -387,6 +387,11 @@ def factorize(
     non-symmetric square input the surrogate scores D and D^T together,
     every tile is added with its transpose, and `error` counts the
     disagreements against D as given.
+
+    The score strips are freed once the orders are read off the trees, before
+    the reconstruction for `error` is built, and `hamming_error` counts in
+    blocks of rows: so the end of a run holds `d` and the reconstruction, as
+    the rounds hold `d` and the strip, and never a third matrix-sized array.
     """
     if k < 1:
         raise ValueError(f"rank must be at least 1, got {k}")
@@ -405,6 +410,7 @@ def factorize(
         factors.append((rows, cols))
 
     row_order, col_order = (tree.frontier() for tree in state.trees)
+    del state  # frees the score strips before the reconstruction is built
     f = Factorization(variant, factors, row_order, col_order, error=0, rank_requested=k)
     f.error = hamming_error(d, reconstruct(f))
     f.rel_error = f.error / d.nnz if d.nnz else 0.0
@@ -451,11 +457,14 @@ def parse_report(text: str) -> Factorization:
     index out of range, a factor that is not contiguous (cyclically, in the
     cyclic variants) under the stored orders, or fewer or more factors than
     its RANK line says.  Factor sides are returned as sorted tuples without
-    duplicates.
+    duplicates.  Lines and tokens follow the sparse loader's rules: "\\n",
+    "\\r\\n" and a lone "\\r" end a line, and tokens are separated by the
+    ASCII blanks of `bitmat._BLANKS` alone, so any other character, such as
+    "\\u3000" or "\\u2028", is part of a token.
     """
-    raw = text.splitlines()
-    lines = [(no, ln.split()) for no, ln in enumerate(raw, start=1) if ln.strip()]
-    end = len(raw) + 1  # the line a truncated report is missing
+    raw = _LINE_END.split(text)  # "" after a final line end: no line of its own
+    lines = [(no, toks) for no, ln in enumerate(raw, start=1) if (toks := _TOKEN.findall(ln))]
+    end = len(raw) + (raw[-1] != "")  # the line a truncated report is missing
 
     def fields(i: int, key: str) -> tuple[int, list[str]]:
         if i >= len(lines):

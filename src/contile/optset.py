@@ -97,8 +97,9 @@ def block_rows(tree: PQTree) -> int:
     counters; at least 1.  Per row: three counters and two mark bytes per node
     and the sentinel, three intp tags per internal node, 9 bytes per element
     (w and -w at int32, the mask), and per cell of the widest group's children
-    two counters (P) or ten and an intp (Q).  An int32 pick holds about half."""
-    widest = max((cs.size * (16 if kind == PNODE else 88) for kind, _, cs in tree.compiled()), default=0)
+    two counters (P) or five and an int32 (Q: `bx`, `pref`, `best_t` and the
+    two of `cand`, beside `first`).  An int32 pick holds about half."""
+    widest = max((cs.size * (16 if kind == PNODE else 44) for kind, _, cs in tree.compiled()), default=0)
     per_row = 26 * (len(tree.kind) + 1) + 24 * (len(tree.kind) - tree.n) + 9 * tree.n + widest
     return max(1, BLOCK_BYTES // per_row)
 
@@ -155,28 +156,34 @@ def compute_counters(tree: PQTree, w) -> Counters:
             tags.append((x1, np.where(take_run, 1 + 2 * (g1 > 0) + 2 * (g2 > 0), np.where(iv > 0, 2 * xv, EMPTY)), x2))
             continue
 
-        g, a = cs.shape  # Q: prefix sums down the ordered children, (nodes, arity, S)
+        g, a = cs.shape  # Q: prefix sums down the ordered children, (nodes, arity, S), each freed once used
         bx = border.take(cs, axis=0)
         pref = np.zeros((g, a + 1, s), dtype=dtype)
         np.cumsum(total.take(cs, axis=0), axis=1, out=pref[:, 1:])
         ends = np.empty((g, 2 * a, s), dtype=dtype)
-        ends[:, 0::2] = pref[:, :-1] + bx  # full prefix, the border child at the right
-        ends[:, 1::2] = (pref[:, -1:] - pref[:, 1:]) + bx  # full suffix
+        np.add(pref[:, :-1], bx, out=ends[:, 0::2])  # full prefix, the border child at the right
+        np.subtract(pref[:, -1:], pref[:, 1:], out=ends[:, 1::2])  # full suffix
+        ends[:, 1::2] += bx
+        bt = ends.argmax(axis=1)
+        total[nodes] = pref[:, -1]  # already: no node of a group is a child of one
+        border[nodes] = ends[at, bt, cols]
+        del ends
         # best border(c_i) - pref(i + 1) over i < j, and the first i reaching it
         t = bx - pref[:, 1:]
         best_t = np.maximum.accumulate(t, axis=1)
-        first = np.zeros((g, a, s), dtype=np.intp)
-        first[:, 1:] = np.where(t[:, 1:] > best_t[:, :-1], np.arange(1, a)[:, None], 0)
+        first = np.zeros((g, a, s), dtype=np.int32)
+        first[:, 1:] = np.where(t[:, 1:] > best_t[:, :-1], np.arange(1, a, dtype=np.int32)[:, None], 0)
+        del t
         np.maximum.accumulate(first, axis=1, out=first)
         cand = np.empty((g, 2 * a, s), dtype=dtype)
+        np.add(bx[:, 1:], pref[:, 1:-1], out=cand[:, 3::2])  # run from first[j - 1] to j
+        cand[:, 3::2] += best_t[:, :-1]
+        del bx, pref, best_t
         cand[:, 0::2] = inner.take(cs, axis=0)
         cand[:, 1] = neg
-        cand[:, 3::2] = bx[:, 1:] + pref[:, 1:-1] + best_t[:, :-1]  # run from first[j - 1] to j
         it = cand.argmax(axis=1)
         best = cand[at, it, cols]
-        bt = ends.argmax(axis=1)
-        total[nodes] = pref[:, -1]
-        border[nodes] = ends[at, bt, cols]
+        del cand
         inner[nodes] = np.maximum(best, 0)
         tags.append((bt, np.where(best > 0, it, EMPTY), first[at, np.maximum(it // 2 - 1, 0), cols]))
 

@@ -492,6 +492,22 @@ class TestHamming:
                 for c in mats[8:]:
                     assert hamming_error(a, c) <= hamming_error(a, b) + hamming_error(b, c)
 
+    @staticmethod
+    def pair(n, m):
+        i, j = np.ogrid[:n, :m]
+        return BinaryMatrix._owning(i * j % 7 < 3), BinaryMatrix._owning((i + 2 * j) % 5 < 2)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (1, 70000), (300, 301), (1024, 1024)])
+    def test_blocks_count_every_cell(self, shape):
+        # 1 x 70000: a row longer than a block is counted as one block
+        a, b = self.pair(*shape)
+        assert hamming_error(a, b) == np.count_nonzero(a.dense() != b.dense())
+
+    def test_peak_is_one_block(self):
+        # a 1024 x 1024 pair's `a != b` would take 1 MiB at once
+        a, b = self.pair(1024, 1024)
+        assert peak_bytes(lambda: hamming_error(a, b)) < 2**16 + 64 * 1024
+
 
 def fz(variant, factors, row_order, col_order):
     return Factorization(variant, factors, tuple(row_order), tuple(col_order),

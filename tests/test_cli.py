@@ -11,6 +11,7 @@ from contile.cli import _write_text, main
 from contile.render import RenderSpec
 
 from conftest import peak_bytes
+from test_factorizer import SEPARATORS
 
 
 def run(capsys, *argv):
@@ -185,6 +186,13 @@ class TestEval:
         bad.write_text("VARIANT plain\n")
         code, _, err = run(capsys, "eval", "--factors", str(bad), "--matrix", str(blocks_file))
         assert code == 2 and "line 2" in err
+
+    @pytest.mark.parametrize("text,line", SEPARATORS)
+    def test_report_separators(self, blocks_file, tmp_path, capsys, text, line):
+        bad = tmp_path / "separated.txt"
+        bad.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "eval", "--factors", str(bad), "--matrix", str(blocks_file))
+        assert code == 2 and f"line {line}: " in err
 
     def test_shape_mismatch(self, factor_file, tmp_path, capsys):
         other = tmp_path / "other.spm"

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -273,6 +274,26 @@ class TestFactorize:
                 if variant in ("sym", "cyclic-sym"):
                     assert check(rows_sets + cols_sets, f.node_order)
                 assert f.error == hamming_error(d, reconstruct(f))
+
+    def test_the_error_is_counted_without_the_strips(self, monkeypatch):
+        # 425 x 425 blocks, sampled seeds: when the reconstruction is built, the
+        # score strip is freed, so factorize holds less than a byte per cell
+        # above its start (a held strip alone would be one)
+        d = flip_noise(gen_blocks(BlockSpec(12, 40, 5)), 0.1, 1)
+        seeds, held = seeds_sample(d, 0.02, 1), []
+
+        def traced(f):
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            return reconstruct(f)
+
+        monkeypatch.setattr(factorizer, "reconstruct", traced)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            factorize(d, 12, seeds=seeds)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] < d.n_rows * d.n_cols, held
 
     def test_each_round_gain_is_the_recounted_error_decrease(self, rng, monkeypatch):
         # each accepted tile's gain against the error recounted from the tiles
@@ -746,6 +767,13 @@ REPORT = (
     "ROW-ORDER 0 1 2\nCOL-ORDER 1 0\nFACTOR 0 ROWS 0 1 COLS 0 1\n"
 )
 CYCLIC = REPORT.replace("VARIANT plain", "VARIANT cyclic").replace("ROWS 0 1", "ROWS 2 0")  # wraps
+# separators that str.split or str.splitlines would take, each a FormatError at its own line
+SEPARATORS = [
+    (REPORT.replace("RANK 1/2", "RANK\u30001/2"), 2),  # an ideographic space is no blank
+    (REPORT.replace("ROWS 0 1", "ROWS\u30000 1"), 6),
+    (REPORT.replace("RANK 1/2\n", "RANK 1/2\n\x1c\n"), 3),  # a file separator is no line end, nor an empty line
+    (REPORT.replace("ROW-ORDER 0 1 2", "ROW-ORDER 0 1\u20282"), 4),  # a line separator is no line end
+]
 
 
 class TestReport:
@@ -806,6 +834,7 @@ class TestReport:
         (REPORT.replace("ROW-ORDER 0 1 2", "ROW-ORDER 0 1 \uff12"), 4),
         (REPORT.replace("FACTOR 0", "FACTOR 0_0"), 6),
         (REPORT.replace("ROWS 0 1 COLS", "ROWS 0 +1 COLS"), 6),
+        *SEPARATORS,
     ]
 
     @pytest.mark.parametrize("text,line", MALFORMED)

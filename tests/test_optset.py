@@ -305,6 +305,8 @@ class TestBlockMemory:
             assert tree.reduce((i, i + 1))
         ((kind, nodes, cs),) = tree.compiled()
         assert kind == QNODE and cs.shape == (1, 255)
+        # 233 rows, about two thirds of the 255-leaf P-node's 360: a Q cell holds five counters and an int32
+        assert optset.block_rows(tree) > 200
         self.assert_fits(state, tree, step_weights(state, [(j,) for j in range(optset.block_rows(tree))], 0))
 
     def test_a_block_past_the_int32_bound_fits_at_int64(self, monkeypatch):
