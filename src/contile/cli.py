@@ -73,9 +73,10 @@ def cmd_factorize(args) -> int:
 def cmd_eval(args) -> int:
     with open(args.factors, "r", encoding="utf-8") as fh:
         f = parse_report(fh.read())
-    z = bitmat.reconstruct(f)
+    z = None  # built after the first load, whose buffers it would otherwise sit beside
     for path in args.matrix:
         d = _read_matrix(path, args.format)
+        z = bitmat.reconstruct(f) if z is None else z
         err = bitmat.hamming_error(d, z)
         rel = err / d.nnz if d.nnz else 0.0  # disagreements per one of d; 0 when d has none
         print(f"{path} ERROR {err} RELERR {rel:.4f}")
@@ -130,7 +131,7 @@ def cmd_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import argparse  # after the package's modules: compiled with argparse loaded, they raised peak RSS 0.3 MB
 
-    def seed(text: str) -> int:  # every --rng: numpy's Philox and the seed sampler refuse a negative key, naming no option
+    def seed(text: str) -> int:  # every --rng: `philox.round_keys` refuses a negative seed, naming no option
         if (value := int(text)) < 0:
             raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
         return value

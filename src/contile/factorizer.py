@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, groupby, product
-from typing import Callable, Iterator, Sequence
+from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 
 from .bitmat import _LINE_END, _TOKEN, BinaryMatrix, FormatError, hamming_error, integers, positions, reconstruct, run_under
-from . import optset
+from . import optset, philox
 from .optset import best_compatible_sets, best_cyclic_sets, block_rows
 from .pqtree import PQTree
 
@@ -278,91 +278,16 @@ def _joint_cols(state: StepState, rows: tuple[int, ...], cols: tuple[int, ...], 
 # -- seeds --------------------------------------------------------------------
 
 
-M32, M64 = 2**32 - 1, 2**64 - 1
-
-
-def _philox(seed: int) -> Iterator[int]:
-    """The 64-bit outputs of numpy's `Philox(seed)`: Philox4x64-10 (Salmon et al.,
-    SC 2011) from counter 1, keyed by `SeedSequence(seed).generate_state(2, np.uint64)`."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    words = [seed >> s & M32 for s in range(0, max(seed.bit_length(), 1), 32)]  # SeedSequence's entropy
-    mult, factor = 0x43B0D7E5, 0x931E8875
-
-    def hashmix(value: int) -> int:
-        nonlocal mult
-        value, mult = value ^ mult, mult * factor & M32
-        value = value * mult & M32
-        return value ^ value >> 16
-
-    def mix(dst: int, value: int) -> None:
-        x = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value)) & M32
-        pool[dst] = x ^ x >> 16
-
-    pool = [hashmix(word) for word in (words + [0] * 3)[:4]]
-    for src, dst in product(range(4), range(4)):
-        if src != dst:
-            mix(dst, pool[src])
-    for word, dst in product(words[4:], range(4)):
-        mix(dst, word)
-    mult, factor = 0x8B51F9DD, 0x58F38DED  # generate_state hashes the pool on
-    key = sum(hashmix(value) << 32 * i for i, value in enumerate(pool))
-    for counter in count(1):
-        c, a, b = [counter >> s & M64 for s in (0, 64, 128, 192)], key & M64, key >> 64
-        for _ in range(10):
-            p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
-            c = [p1 >> 64 ^ c[1] ^ a, p1 & M64, p0 >> 64 ^ c[3] ^ b, p0 & M64]
-            a, b = (a + 0x9E3779B97F4A7C15) & M64, (b + 0xBB67AE8584CAA73B) & M64
-        yield from c
-
-
-def _bounded(seed: int) -> Callable[[int], int]:
-    """`below(j)`, numpy's `random_bounded_uint64(0, j)` on `Philox(seed)`: Lemire's
-    rejection (ACM TOMACS 2019) over 32-bit outputs, the low half of each 64-bit
-    one first, while j < 2**32, else over the 64-bit outputs."""
-    words, spare = _philox(seed), []
-
-    def below(j: int) -> int:
-        bits = 32 if j <= M32 else 64
-        while j:  # 0 takes no draw
-            x = next(words) if (fresh := bits == 64 or not spare) else spare.pop()
-            if bits == 32 and fresh:
-                spare.append(x >> 32)
-                x &= M32
-            if (scaled := x * (j + 1)) & (1 << bits) - 1 >= (1 << bits) % (j + 1):
-                return scaled >> bits
-        return 0
-
-    return below
-
-
-def _choice(m: int, k: int, seed: int) -> list[int]:
-    """`sorted(Generator(Philox(seed)).choice(m, k, replace=False))`, drawn as numpy
-    draws it: a shuffle of the last k places of range(m) for an m past 10000 and a
-    k past m // 50, else Floyd's algorithm."""
-    below = _bounded(seed)
-    if m > 10000 and k > m // 50:
-        order = list(range(m))
-        for i in range(m - 1, max(m - k, 1) - 1, -1):
-            j = below(i)
-            order[i], order[j] = order[j], order[i]
-        return sorted(order[m - k :])
-    chosen = set()  # numpy then shuffles the sample, which sorting undoes
-    for j in range(m - k, m):
-        chosen.add(j if (value := below(j)) in chosen else value)
-    return sorted(chosen)
-
-
 def seeds_sample(d: BinaryMatrix, fraction: float, rng_seed: int) -> list[int]:
     """Uniform sample (without replacement) of the seed columns, sorted.
 
-    The sample size is floor(fraction * n_cols), at least 1. It is numpy's
-    `Generator(Philox(rng_seed)).choice`, the same Philox stream drawn without
-    numpy.random (`_choice`), whose load costs a process about 6 MB.
+    The sample size is floor(fraction * n_cols), at least 1. It is
+    `philox.choice`: numpy's `Generator(Philox(rng_seed)).choice`, drawn
+    without numpy.random, whose load costs a process about 6 MB.
     """
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    return _choice(d.n_cols, max(1, math.floor(fraction * d.n_cols)), rng_seed)
+    return philox.choice(d.n_cols, max(1, math.floor(fraction * d.n_cols)), rng_seed).tolist()
 
 
 # -- full factorization ---------------------------------------------------------

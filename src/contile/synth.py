@@ -1,10 +1,12 @@
 """Synthetic benchmark inputs: overlapping diagonal blocks, bit-flip noise,
 and uniform random matrices.
 
-All randomness flows through numpy's counter-based Philox generator keyed by
-an explicit seed, so outputs are reproducible regardless of call order or
-parallelism. `factorizer.seeds_sample` draws from the same Philox stream
-without numpy.random, which a `contile factorize` process then never loads.
+All randomness is the counter-based Philox stream keyed by an explicit seed,
+so outputs are reproducible regardless of call order or parallelism.
+`philox` computes it vectorized, bit for bit as numpy's
+`Generator(Philox(seed))` draws it, without loading numpy.random:
+`flip_noise` flips the cells of its `choice`, and `gen_random` thresholds its
+`random` doubles.  `factorizer.seeds_sample` samples seed columns from it too.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import philox
 from .bitmat import BinaryMatrix
 
-DRAW_ROWS = 64  # rows of uniforms `gen_random` draws at once, 8 bytes per cell
+DRAW_ROWS = 16  # rows of uniforms `gen_random` draws at once, about 26 bytes per cell in flight
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,6 @@ def gen_blocks(spec: BlockSpec) -> BinaryMatrix:
     return BinaryMatrix._owning(dense)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def flip_noise(m: BinaryMatrix, rate: float, rng_seed: int) -> BinaryMatrix:
     """Flip an exact count of distinct uniformly chosen cells."""
     if not 0 <= rate <= 0.5:
@@ -69,7 +68,7 @@ def flip_noise(m: BinaryMatrix, rate: float, rng_seed: int) -> BinaryMatrix:
     count = math.floor(rate * cells + 0.5)  # round half up, so e.g. 10% of 95x95 flips exactly 903 cells
     if count == 0:
         return m
-    flips = _rng(rng_seed).choice(cells, size=count, replace=False)
+    flips = philox.choice(cells, count, rng_seed)
     dense = m.dense().copy()
     flat = dense.reshape(-1)
     flat[flips] ^= True
@@ -86,7 +85,8 @@ def gen_random(n: int, density: float, rng_seed: int) -> BinaryMatrix:
         dense = np.empty((n, n), dtype=bool)
     except MemoryError:  # numpy refuses a side past the address space at once
         raise ValueError(f"{n}x{n} matrix does not fit in memory") from None
-    rng = _rng(rng_seed)
+    keys = philox.round_keys(rng_seed)
     for i in range(0, n, DRAW_ROWS):  # one stream: the same cells as a single n x n draw
-        dense[i : i + DRAW_ROWS] = rng.random((min(DRAW_ROWS, n - i), n)) < density
+        rows = min(DRAW_ROWS, n - i)
+        dense[i : i + rows] = philox.uniform(keys, i * n, rows * n).reshape(rows, n) < density
     return BinaryMatrix._owning(dense)

@@ -176,6 +176,18 @@ class TestEval:
                            "--matrix", str(blocks_file), "--matrix", str(noisy))
         assert code == 0 and len(out.strip().splitlines()) == 2
 
+    def test_reconstruction_built_once_after_the_first_load(self, blocks_file, factor_file, monkeypatch, capsys):
+        # the reconstruction never sits beside a load in progress, and one serves every matrix
+        from contile import bitmat, cli
+
+        calls = []
+        for owner, name, label in ((cli, "_read_matrix", "load"), (bitmat, "reconstruct", "reconstruct")):
+            monkeypatch.setattr(owner, name, lambda *a, fn=getattr(owner, name), label=label: calls.append(label) or fn(*a))
+        code, out, _ = run(capsys, "eval", "--factors", str(factor_file),
+                           "--matrix", str(blocks_file), "--matrix", str(blocks_file))
+        assert code == 0 and out.count("ERROR 0 RELERR 0.0000") == 2
+        assert calls == ["load", "reconstruct", "load"]
+
     def test_missing_factor_file(self, blocks_file, capsys):
         code, _, err = run(capsys, "eval", "--factors", "/nonexistent.txt",
                            "--matrix", str(blocks_file))

@@ -10,8 +10,6 @@ import pytest
 from contile.bitmat import BinaryMatrix, FormatError, hamming_error, is_cyclic_under, is_unimodal_under, reconstruct
 from contile.factorizer import (
     StepState,
-    _bounded,
-    _choice,
     _half_steps,
     _overlap,
     alternate_seeds,
@@ -728,25 +726,6 @@ class TestSeeds:
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
             seeds_sample(BinaryMatrix.zeros(2, 5), 0.5, -1)
-
-    @pytest.mark.parametrize(
-        "m,k",
-        [(1, 1), (7, 7), (1005, 1), (1005, 20), (10000, 10000), (10001, 200), (50000, 1000)]  # Floyd's algorithm
-        + [(10001, 201), (10001, 10001), (12000, 5000)],  # the tail shuffle: m past 10000, k past m // 50
-    )
-    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 1, 2**130 + 7])  # 1 to 5 words of entropy
-    def test_sample_is_numpys_choice(self, m, k, seed):
-        want = np.random.Generator(np.random.Philox(seed)).choice(m, size=k, replace=False)
-        assert _choice(m, k, seed) == sorted(want.tolist())
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 1])
-    def test_bounded_draws_are_numpys(self, seed):
-        # 32-bit draws keep the high half of a 64-bit output across the 64-bit ones, as numpy does
-        rng, below = random.Random(seed), _bounded(seed)
-        gen = np.random.Generator(np.random.Philox(seed))
-        for _ in range(200):
-            j = rng.choice([0, 1, 2**31 + 1, 2**32 - 1, 2**32, 2**64 - 1, rng.randrange(2**33), rng.randrange(2**64)])
-            assert below(j) == gen.integers(0, j, endpoint=True, dtype=np.uint64).item()
 
     @pytest.mark.parametrize(
         "rng,want",

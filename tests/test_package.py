@@ -34,22 +34,32 @@ def test_names_load_their_modules_on_first_use():
 
 
 def test_sampled_factorize_loads_no_numpy_random(tmp_path):
-    # the seed sample is drawn without numpy.random (and the secrets and
-    # OpenSSL modules that numpy 2 loads with it); numpy < 2 loads it with numpy
+    # every draw is philox's: a sampled factorize, both synth commands and an
+    # in-process synth -> factorize run load neither numpy.random nor the
+    # secrets and OpenSSL modules that numpy 2 loads with it; numpy < 2 loads
+    # it with numpy, before any of them runs
     spm = tmp_path / "m.spm"
     spm.write_text("4 4\n0 0\n0 1\n1 1\n2 2\n3 3\n3 0\n")
+    runs = [
+        ["factorize", str(spm), "-k", "2", "--seeds", "sample:0.5", "--rng", "3", "-o", str(tmp_path / "f.txt")],
+        ["synth", "blocks", "--blocks", "10", "--size", "30", "--noise", "0.1", "--rng", "1", "-o", str(tmp_path / "b.spm")],
+        ["synth", "random", "--n", "40", "--density", "0.3", "--rng", "2", "-o", str(tmp_path / "r.spm")],
+    ]
     code = (
         "import sys\n"
-        "from contile import cli\n"
-        "before = set(sys.modules)\n"
-        f"code = cli.main(['factorize', {str(spm)!r}, '-k', '2', '--seeds', 'sample:0.5', '--rng', '3', '-o', {str(tmp_path / 'f.txt')!r}])\n"
-        "print(code, sorted({'numpy.random', 'secrets'} & (set(sys.modules) - before)))\n"
+        "from contile import cli, factorizer, synth\n"
+        "before, unwanted = set(sys.modules), {'numpy.random', 'secrets'}\n"
+        f"for argv in {runs!r}:\n"
+        "    print(argv[0], cli.main(argv), sorted(unwanted & (set(sys.modules) - before)))\n"
+        "d = synth.flip_noise(synth.gen_blocks(synth.BlockSpec(10, 30, 5)), 0.1, 7)  # 255x255: the tail shuffle\n"
+        "f = factorizer.factorize(d, 2, 'cyclic-sym')\n"
+        "print('in-process', f.error > 0, sorted(unwanted & (set(sys.modules) - before)))\n"
     )
     src = str(Path(contile.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-4:] == ["factorize 0 []", "synth 0 []", "synth 0 []", "in-process True []"]
 
 
 def test_names_the_benchmark_reads_resolve():

@@ -83,6 +83,15 @@ class TestFlipNoise:
             with pytest.raises(ValueError):
                 flip_noise(d, bad, 0)
 
+    @pytest.mark.parametrize("spec,flips,seed", [(BlockSpec(6, 20, 5), 903, 7), (BlockSpec(10, 30, 5), 6503, 1),
+                                                 (BlockSpec(10, 30, 5), 6503, 7)])
+    def test_flips_are_numpys_choice(self, spec, flips, seed):
+        # 95x95 takes Floyd's algorithm, 255x255 the tail shuffle
+        d = gen_blocks(spec)
+        want = d.dense().copy()
+        want.reshape(-1)[np.random.Generator(np.random.Philox(seed)).choice(want.size, flips, replace=False)] ^= True
+        assert np.array_equal(flip_noise(d, 0.1, seed).dense(), want)
+
 
 class TestGenRandom:
     def test_density_within_three_sigma(self):
@@ -97,14 +106,14 @@ class TestGenRandom:
     def test_near_one_density_pinned(self):
         assert gen_random(1, 0.999, 0).nnz == 1
 
-    def test_row_blocks_are_one_draw(self):
-        # the blocks continue one Philox stream: the cells of a single n x n draw
-        n = 2 * DRAW_ROWS + 5
-        want = np.random.Generator(np.random.Philox(3)).random((n, n)) < 0.3
-        assert np.array_equal(gen_random(n, 0.3, 3).dense(), want)
+    @pytest.mark.parametrize("n,seed", [(2 * DRAW_ROWS + 5, 3), (DRAW_ROWS + 1, 2**130 + 7), (DRAW_ROWS - 1, 0)])
+    def test_row_blocks_are_one_draw(self, n, seed):
+        # the blocks continue one Philox stream: the cells of a single n x n draw, across each block's end
+        want = np.random.Generator(np.random.Philox(seed)).random((n, n)) < 0.3
+        assert np.array_equal(gen_random(n, 0.3, seed).dense(), want)
 
     def test_memory_is_result_plus_one_block(self):
-        # 4 MB of result and 1 MB of uniforms; one n x n draw peaked at 36.8 MB
+        # 4 MB of result and 0.8 MB for a block's draw; one n x n draw of numpy's peaked at 36.8 MB
         assert peak_bytes(lambda: gen_random(2000, 0.1, 1)) < 1.5 * 2000 * 2000
 
     def test_invalid(self):
